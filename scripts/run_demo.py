@@ -24,7 +24,7 @@ from su31cert.corpus import CORPUS_KINDS
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1 per kind")
-    parser.add_argument("--max-word-len", type=int, default=4)
+    parser.add_argument("--max-word-len", type=int, default=AnalysisConfig.max_word_length)
     parser.add_argument("--json", action="store_true", help="emit one JSON report per line")
     args = parser.parse_args(argv)
 
@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     for kind, make in CORPUS_KINDS.items():
         for seed in range(args.seeds):
             start = time.time()
-            result = classify_group(make(seed), args.max_word_len, config=cfg)
+            result = classify_group(make(seed), config=cfg)
             elapsed = time.time() - start
             if args.json:
                 print(json.dumps(result.to_json()))

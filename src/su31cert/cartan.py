@@ -3,7 +3,6 @@
 The invariant is the principal argument of the negated triple Hermitian
 product of lifts; it is lift-independent, lands in [-pi/2, pi/2], and equals
 +-pi/2 exactly on complex-line triples and 0 exactly on Lagrangian triples.
-The engine uses these predicates as an independent geometric cross-check.
 """
 
 from __future__ import annotations

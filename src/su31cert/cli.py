@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: classify, element, cartan, trace, identities, gen-corpus.
-Matrix/vector JSON uses [re, im] number pairs; reports are deterministic for
-a fixed input, config, and seed.  Exit codes: 0 for a definite verdict,
+Matrix/vector JSON uses [re, im] number pairs; reports are byte-deterministic
+for fixed input and flags.  Exit codes: 0 for a definite verdict,
 2 for Inconclusive, 1 for input errors.  CHK_LOG=debug|info enables logging.
 """
 
@@ -14,8 +14,6 @@ import logging
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import AnalysisConfig
 from .hermitian import (
@@ -29,9 +27,7 @@ from .hermitian import (
 )
 from .cartan import BoundaryTriple, DegenerateTriple, cartan_invariant, triple_geometry
 from .elements import (
-    ELLIPTIC,
     LOXODROMIC,
-    PARABOLIC,
     NotLoxodromic,
     NotRealTrace,
     classify,
@@ -89,32 +85,15 @@ def _load_generators(path: str, tol_form: float):
     return gens
 
 
-def _config_from_args(args) -> AnalysisConfig:
-    return AnalysisConfig(
+def cmd_classify(args) -> int:
+    cfg = AnalysisConfig(
         max_word_length=args.max_word_len,
         tol_real=args.tol_real,
         tol_corner=args.tol_corner,
         budget=args.budget,
-        seed=args.seed,
     )
-
-
-def _add_common(parser):
-    parser.add_argument("--max-word-len", type=int, default=4)
-    parser.add_argument("--tol-real", type=float, default=1e-8)
-    parser.add_argument("--tol-corner", type=float, default=1e-6)
-    parser.add_argument("--budget", type=int, default=10**6)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for interface compatibility; scans are "
-                        "deterministic regardless of the value")
-    parser.add_argument("--out", default=None)
-
-
-def cmd_classify(args) -> int:
-    cfg = _config_from_args(args)
     gens = _load_generators(args.generators, cfg.tol_form)
-    result = classify_group(gens, cfg.max_word_length, cfg)
+    result = classify_group(gens, config=cfg)
     _emit(result.to_json(cfg), args.out)
     return 2 if result.verdict == INCONCLUSIVE else 0
 
@@ -156,9 +135,8 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    cfg = _config_from_args(args)
-    gens = _load_generators(args.generators, cfg.tol_form)
-    report = trace_reality_report(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
+    gens = _load_generators(args.generators, AnalysisConfig.tol_form)
+    report = trace_reality_report(gens, args.max_word_len, args.tol_real, args.budget)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -196,36 +174,38 @@ def build_parser() -> argparse.ArgumentParser:
         "conjugators into SO(3,1) or SU(1,1)xSU(2).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    scan = argparse.ArgumentParser(add_help=False, parents=[out])  # classify and trace
+    scan.add_argument("--generators", required=True)
+    scan.add_argument("--max-word-len", type=int, default=AnalysisConfig.max_word_length)
+    scan.add_argument("--tol-real", type=float, default=AnalysisConfig.tol_real)
+    scan.add_argument("--budget", type=int, default=AnalysisConfig.budget)
 
-    p = sub.add_parser("classify", help="run the full group pipeline")
-    p.add_argument("--generators", required=True)
-    _add_common(p)
+    p = sub.add_parser("classify", parents=[scan], help="run the full group pipeline")
+    p.add_argument("--tol-corner", type=float, default=AnalysisConfig.tol_corner)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("element", help="classify a single matrix")
+    p = sub.add_parser("element", parents=[out], help="classify a single matrix")
     p.add_argument("--matrix", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_element)
 
-    p = sub.add_parser("cartan", help="Cartan invariant of a boundary triple")
+    p = sub.add_parser("cartan", parents=[out], help="Cartan invariant of a boundary triple")
     p.add_argument("--vectors", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_cartan)
 
-    p = sub.add_parser("trace", help="trace-reality scan of the generated group")
-    p.add_argument("--generators", required=True)
-    _add_common(p)
+    p = sub.add_parser("trace", parents=[scan], help="trace-reality scan of the generated group")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("identities", help="the 20 inverse identities of a matrix")
+    p = sub.add_parser("identities", parents=[out], help="the 20 inverse identities of a matrix")
     p.add_argument("--matrix", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("gen-corpus", help="emit seeded generator files with known ground truth")
     p.add_argument("--kind", required=True, choices=sorted(corpus.CORPUS_KINDS))
     p.add_argument("--count", type=int, default=1)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="output directory (default: the current one)")
     p.set_defaults(func=cmd_gen_corpus)
 
     return parser

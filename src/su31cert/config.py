@@ -1,4 +1,4 @@
-"""Shared analysis configuration."""
+"""Shared analysis configuration; its class attributes are the package's only defaults."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ class AnalysisConfig:
     tol_spec: float = 1e-7      # unit-modulus band for the element classifier
     tol_cert: float = 1e-6      # acceptable verdict certificate
     budget: int = 10**6
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_word_length < 1:
@@ -28,3 +27,4 @@ class AnalysisConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
+

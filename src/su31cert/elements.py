@@ -15,20 +15,25 @@ from typing import List, Optional
 
 import numpy as np
 
+from .config import AnalysisConfig
 from .hermitian import (
     J,
     BoundaryPoint,
     GroupElement,
-    as_matrix,
     herm_inner,
+    matrix_of,
     norm_max,
     su31_inverse,
-    su31_residual,
 )
 
 LOXODROMIC = "loxodromic"
 PARABOLIC = "parabolic"
 ELLIPTIC = "elliptic"
+
+CLUSTER_TOL = 1e-5         # polished simple roots are far closer than this: only repeats merge
+COARSE_CLUSTER_TOL = 1e-3  # a multiple root is only good to ~eps^(1/4) ~ 1e-4; this re-merges it
+PIVOT_TOL = 1e-9           # smaller relative pivots are rounding in a singular A - lambda I
+COLLISION_TOL = 1e-6       # nearer middle eigenvalues are theta in {0, pi}; vectors unreliable
 
 
 class IllConditioned(RuntimeError):
@@ -69,13 +74,9 @@ class CharPoly:
     def c0(self): return self.coefficients[4]
 
 
-def _matrix_of(a) -> np.ndarray:
-    return a.entries if isinstance(a, GroupElement) else as_matrix(a)
-
-
 def char_poly(a) -> CharPoly:
     """Characteristic polynomial via Newton's identities on tr(A^k)."""
-    m = _matrix_of(a)
+    m = matrix_of(a)
     p1 = np.trace(m)
     m2 = m @ m
     p2 = np.trace(m2)
@@ -181,7 +182,7 @@ class EigenDecomposition:
         return np.asarray([p.value for p in self.pairs])
 
 
-def eigen_solve(a, tol: float = 1e-8, cluster_tol: float = 1e-5) -> EigenDecomposition:
+def eigen_solve(a, tol: float = 1e-8) -> EigenDecomposition:
     """Eigenpairs of a 4x4 J-isometry from its quartic characteristic polynomial.
 
     Roots are clustered; each cluster contributes its geometric multiplicity
@@ -189,22 +190,21 @@ def eigen_solve(a, tol: float = 1e-8, cluster_tol: float = 1e-5) -> EigenDecompo
     complete-pivot elimination).  ``defective`` flags geometric < algebraic
     anywhere in the spectrum.
     """
-    m = _matrix_of(a)
+    m = matrix_of(a)
     scale = max(norm_max(m), 1.0)
     roots = _quartic_roots(char_poly(m))
     best = None
-    # Multiple roots of the quartic carry up to ~eps^(1/4) error, so a tight
-    # clustering can split a defective eigenvalue and poison the null spaces.
+    # A tight clustering can split a multiple root and poison the null spaces.
     # Try a coarser clustering too and keep whichever basis fits the matrix
     # best; merging genuinely distinct eigenvalues always loses this contest
     # because the forced one-dimensional null space has O(gap) residual.
-    for ctol in sorted({cluster_tol, 1e-3}):
+    for ctol in (CLUSTER_TOL, COARSE_CLUSTER_TOL):
         pairs: List[EigenPair] = []
         defective = False
         for group in _cluster(roots, ctol):
             lam = complex(np.mean(group))
             shifted = m - lam * np.eye(4)
-            geo = 4 - complete_pivot_rank(shifted, pivot_tol=1e-9 * scale)
+            geo = 4 - complete_pivot_rank(shifted, pivot_tol=PIVOT_TOL * scale)
             geo = max(1, min(geo, len(group)))
             if geo < len(group):
                 defective = True
@@ -232,18 +232,15 @@ class ElementType:
     interior_witness: Optional[np.ndarray] = None
 
 
-def _gram_null_vector(vectors: np.ndarray):
-    """Eigen-analysis of V* J V; returns (min |eigval|, its vector in C^4, min eigval)."""
+def _gram_eigh(vectors: np.ndarray):
+    """Eigenvalues and eigenvectors (coefficients on ``vectors``) of V* J V."""
     gram = vectors.conj().T @ J @ vectors
-    gram = 0.5 * (gram + gram.conj().T)
-    vals, vecs = np.linalg.eigh(gram)
-    k = int(np.argmin(np.abs(vals)))
-    return float(np.abs(vals[k])), vectors @ vecs[:, k], float(vals.min())
+    return np.linalg.eigh(0.5 * (gram + gram.conj().T))
 
 
-def classify(a, tol: float = 1e-7) -> ElementType:
+def classify(a, tol: float = AnalysisConfig.tol_spec) -> ElementType:
     """Loxodromic / parabolic / elliptic per the boundary fixed-point trichotomy."""
-    m = _matrix_of(a)
+    m = matrix_of(a)
     eig = eigen_solve(m)
     moduli = np.abs(eig.values)
     if moduli.max() > 1.0 + tol:
@@ -259,12 +256,10 @@ def classify(a, tol: float = 1e-7) -> ElementType:
             f"moduli in [{moduli.min():.9f}, {moduli.max():.9f}] straddle the unit band"
         )
     vectors = np.column_stack([p.vector for p in eig.pairs])
+    vals, vecs = _gram_eigh(vectors)
     if eig.defective or len(eig.pairs) < 4:
-        _, null_vec, _ = _gram_null_vector(vectors)
+        null_vec = vectors @ vecs[:, int(np.argmin(np.abs(vals)))]
         return ElementType(PARABOLIC, [BoundaryPoint.from_vector(null_vec)])
-    gram = vectors.conj().T @ J @ vectors
-    gram = 0.5 * (gram + gram.conj().T)
-    vals, vecs = np.linalg.eigh(gram)
     if vals.min() >= -tol:
         raise IllConditioned("unit-modulus diagonalizable element with no negative direction")
     witness = vectors @ vecs[:, int(np.argmin(vals))]
@@ -307,7 +302,7 @@ def normalize_loxodromic(a, tol: float = 1e-8) -> LoxodromicNormalForm:
     when the preconditions fail and handles the theta in {0, pi} eigenvalue
     collision by J-orthonormalizing the two-dimensional positive eigenspace.
     """
-    m = _matrix_of(a)
+    m = matrix_of(a)
     tr = np.trace(m)
     if abs(tr.imag) > tol * (1.0 + abs(tr)):
         raise NotRealTrace(f"Im tr = {tr.imag:.3e}")
@@ -322,7 +317,7 @@ def normalize_loxodromic(a, tol: float = 1e-8) -> LoxodromicNormalForm:
     u = float(attract.value.real)
     unit_pairs = [p for p in eig.pairs if p is not attract and p is not repel]
     collided = len(unit_pairs) == 1 or (
-        abs(unit_pairs[0].value - unit_pairs[1].value) <= 1e-6
+        abs(unit_pairs[0].value - unit_pairs[1].value) <= COLLISION_TOL
     )
     if collided:
         # theta in {0, pi}: degenerate middle eigenspace, take any J-orthonormal basis

@@ -19,6 +19,8 @@ from .config import AnalysisConfig
 from .hermitian import (
     J,
     GroupElement,
+    NotInGroup,
+    herm_inner,
     matrix_to_json,
     norm_max,
     su31_inverse,
@@ -28,7 +30,6 @@ from .elements import (
     LOXODROMIC,
     AmbiguousClassification,
     IllConditioned,
-    LoxodromicNormalForm,
     NotLoxodromic,
     NotRealTrace,
     classify,
@@ -36,9 +37,11 @@ from .elements import (
 )
 from .tracefield import (
     ALL_REAL,
+    IMAGINARY_PAIR,
+    REAL_PAIR,
     BudgetExceeded,
-    TraceReport,
     enumerate_words,
+    lemma22_branch,
     trace_reality_report,
 )
 
@@ -50,6 +53,10 @@ INCONCLUSIVE = "inconclusive"
 CASE_I = "case_i"
 CASE_II = "case_ii"
 CASE_AMBIGUOUS = "ambiguous"
+
+SPAN_IMAG_TOL = 1e-7   # |Im <v_i, v_j>| / scale^2 above this is no rounding of a Gram entry
+SPAN_RANK_TOL = 1e-9   # singular-value ratios below this are rounding, not a new direction
+CONJUGATOR_TOL = 1e-8  # D's membership bound; Gram eigenvalues nearer 0 make D ill-conditioned
 
 # index pairs outside the corner + middle block pattern
 _OFF_BLOCK = [
@@ -77,23 +84,6 @@ class BlockViolation(StageFailure):
         super().__init__(
             "case1_certify",
             f"word {list(word)} breaks the block form (residual {residual:.3e})",
-        )
-
-
-class NotTotallyReal(StageFailure):
-    def __init__(self, pair, residual):
-        self.pair = pair
-        super().__init__(
-            "case2_build_real_span",
-            f"Im<v_i, v_j> = {residual:.3e} for basis pair {pair}",
-        )
-
-
-class SignatureMismatch(StageFailure):
-    def __init__(self, eigenvalues):
-        super().__init__(
-            "case2_conjugator",
-            f"Gram eigenvalues {np.round(eigenvalues, 6).tolist()} are not signature (3,1)",
         )
 
 
@@ -144,8 +134,8 @@ class RealSpanBasis:
 def find_loxodromic(
     gens: Sequence[GroupElement],
     max_length: int,
-    tol: float = 1e-7,
-    budget: int = 10**6,
+    tol: float = AnalysisConfig.tol_spec,
+    budget: int = AnalysisConfig.budget,
 ) -> GroupElement:
     """First word (enumeration order) classified loxodromic."""
     for element in enumerate_words(gens, max_length, budget):
@@ -157,11 +147,9 @@ def find_loxodromic(
     raise StageFailure("find_loxodromic", "no loxodromic word within the budget")
 
 
-def normalize_group(
-    gens: Sequence[GroupElement], a_lox: GroupElement, tol: float = 1e-8
-):
+def normalize_group(gens: Sequence[GroupElement], a_lox: GroupElement):
     """Conjugate so a_lox becomes diagonal with fixed points 0 and infinity."""
-    nf = normalize_loxodromic(a_lox, tol)
+    nf = normalize_loxodromic(a_lox)
     c = nf.conjugator.entries
     c_inv = su31_inverse(c)
     new_gens = [
@@ -174,9 +162,9 @@ def normalize_group(
 def find_branch_witness(
     gens: Sequence[GroupElement],
     max_length: int,
-    tol_corner: float = 1e-6,
-    tol_spec: float = 1e-7,
-    budget: int = 10**6,
+    tol_corner: float = AnalysisConfig.tol_corner,
+    tol_spec: float = AnalysisConfig.tol_spec,
+    budget: int = AnalysisConfig.budget,
 ) -> GroupElement:
     """First loxodromic word with |d q| above the structural-zero threshold.
 
@@ -200,14 +188,10 @@ def find_branch_witness(
     )
 
 
-def detect_case(b0: GroupElement, tol_rel: float = 1e-6) -> str:
-    d = complex(b0.entries[0, 3])
-    q = complex(b0.entries[3, 0])
-    if abs(d.real) <= tol_rel * abs(d) and abs(q.real) <= tol_rel * abs(q):
-        return CASE_I
-    if abs(d.imag) <= tol_rel * abs(d) and abs(q.imag) <= tol_rel * abs(q):
-        return CASE_II
-    return CASE_AMBIGUOUS
+def detect_case(b0: GroupElement, tol_rel: float = AnalysisConfig.tol_rel) -> str:
+    """Case I for purely imaginary corners d, q; Case II for real ones (Lemma 2.2)."""
+    branch = lemma22_branch(b0.entries[0, 3], b0.entries[3, 0], tol=tol_rel)
+    return {IMAGINARY_PAIR: CASE_I, REAL_PAIR: CASE_II}.get(branch, CASE_AMBIGUOUS)
 
 
 def _case1_word_residual(m: np.ndarray) -> float:
@@ -221,7 +205,7 @@ def _case1_word_residual(m: np.ndarray) -> float:
     return max(off, corner_form, corner_det, middle_unitary, middle_det)
 
 
-def case1_certify(words: Sequence[GroupElement], tol: float = 1e-6) -> float:
+def case1_certify(words: Sequence[GroupElement], tol: float = AnalysisConfig.tol_cert) -> float:
     """Max block-form residual over the words; raises BlockViolation above tol."""
     certificate = 0.0
     for element in words:
@@ -236,17 +220,14 @@ def _real_coords(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v.real, v.imag])
 
 
-def case2_build_real_span(
-    words: Sequence[GroupElement], tol: float = 1e-7, rank_tol: float = 1e-9
-) -> RealSpanBasis:
+def case2_build_real_span(words: Sequence[GroupElement]) -> RealSpanBasis:
     """Maximal R-independent subset of {B e4}, certified totally real.
 
-    The identity's image e4 is always included.  Raises NotTotallyReal with
-    the offending pair if some Gram entry has an imaginary part above tol,
-    RankDeficient when fewer than four independent directions appear.
+    The identity's image e4 is always included.  Raises StageFailure naming
+    the offending pair if some Gram entry has an imaginary part above
+    SPAN_IMAG_TOL * scale^2, RankDeficient when fewer than four independent
+    directions appear.
     """
-    from .hermitian import herm_inner
-
     basis: List[np.ndarray] = [np.array([0, 0, 0, 1], dtype=complex)]
     rows = [_real_coords(basis[0])]
     for element in words:
@@ -255,7 +236,7 @@ def case2_build_real_span(
         v = element.entries[:, 3].copy()
         stacked = np.vstack(rows + [_real_coords(v)])
         sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] > rank_tol * sv[0]:
+        if sv[-1] > SPAN_RANK_TOL * sv[0]:
             basis.append(v)
             rows.append(_real_coords(v))
     scale = max(float(np.linalg.norm(v)) for v in basis)
@@ -268,14 +249,15 @@ def case2_build_real_span(
             if im > worst_im:
                 worst_im = im
                 worst = (i, j)
-    if worst_im > tol * scale**2:
-        raise NotTotallyReal(worst, worst_im)
+    if worst_im > SPAN_IMAG_TOL * scale**2:
+        reason = f"Im<v_i, v_j> = {worst_im:.3e} for basis pair {worst}"
+        raise StageFailure("case2_build_real_span", reason)
     if len(basis) < 4:
         raise RankDeficient(len(basis), basis)
     return RealSpanBasis(basis, gram_c.real, len(basis))
 
 
-def case2_conjugator(basis: RealSpanBasis, tol: float = 1e-8) -> GroupElement:
+def case2_conjugator(basis: RealSpanBasis) -> GroupElement:
     """D with D M D^{-1} real for every group element M stabilizing the span.
 
     W holds the basis as columns; W* J W is real symmetric of signature
@@ -289,8 +271,10 @@ def case2_conjugator(basis: RealSpanBasis, tol: float = 1e-8) -> GroupElement:
     gram = 0.5 * (gram + gram.conj().T).real
     vals, q = np.linalg.eigh(gram)
     scale = float(np.max(np.abs(vals)))
-    if vals[0] > -tol * scale or vals[1] < tol * scale or (vals[1:] <= 0).any():
-        raise SignatureMismatch(vals)
+    tol = CONJUGATOR_TOL * scale
+    if vals[0] > -tol or vals[1] < tol or (vals[1:] <= 0).any():
+        reason = f"Gram eigenvalues {np.round(vals, 6).tolist()} are not signature (3,1)"
+        raise StageFailure("case2_conjugator", reason)
     r0 = q @ np.diag(1.0 / np.sqrt(np.abs(vals)))
     # r0^T gram r0 = diag(-1, 1, 1, 1); map that to J via a null-cone basis
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -306,7 +290,7 @@ def case2_conjugator(basis: RealSpanBasis, tol: float = 1e-8) -> GroupElement:
     det = np.linalg.det(wr)
     wr = wr * np.exp(-1j * np.angle(det) / 4.0)
     d = su31_inverse(wr)
-    return GroupElement.certify(d, tol=max(tol, 1e-8))
+    return GroupElement.certify(d, tol=CONJUGATOR_TOL)
 
 
 def _imag_residual_after(d: GroupElement, words: Sequence[GroupElement]) -> float:
@@ -321,10 +305,14 @@ def _imag_residual_after(d: GroupElement, words: Sequence[GroupElement]) -> floa
 
 def classify_group(
     gens: Sequence[GroupElement],
-    max_length: int = 4,
+    max_length: int = AnalysisConfig.max_word_length,
     config: Optional[AnalysisConfig] = None,
 ) -> ClassificationResult:
-    """Full pipeline; every failure path yields an Inconclusive verdict."""
+    """Full pipeline; every failure path yields an Inconclusive verdict.
+
+    Word length, tolerances and budget come from ``config`` alone; ``max_length``
+    only builds the default config when none is passed.
+    """
     cfg = config or AnalysisConfig(max_word_length=max_length)
     stages: List[dict] = []
 
@@ -332,7 +320,7 @@ def classify_group(
         stages.append({"name": name, "status": status, "residual": residual})
 
     try:
-        report = trace_reality_report(gens, max_length, cfg.tol_real, cfg.budget)
+        report = trace_reality_report(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
         stage("trace_reality", report.verdict, report.max_im_trace)
         if report.verdict != ALL_REAL:
             return ClassificationResult(
@@ -343,14 +331,14 @@ def classify_group(
                 stages=stages,
             )
 
-        a_lox = find_loxodromic(gens, max_length, cfg.tol_spec, cfg.budget)
+        a_lox = find_loxodromic(gens, cfg.max_word_length, cfg.tol_spec, cfg.budget)
         stage("find_loxodromic", "found", None)
 
-        norm_gens, nf = normalize_group(gens, a_lox, tol=1e-8)
+        norm_gens, nf = normalize_group(gens, a_lox)
         stage("normalize_group", "ok", float(nf.conjugator.membership_residual))
 
         b0 = find_branch_witness(
-            norm_gens, max_length, cfg.tol_corner, cfg.tol_spec, cfg.budget
+            norm_gens, cfg.max_word_length, cfg.tol_corner, cfg.tol_spec, cfg.budget
         )
         stage("find_branch_witness", "found", None)
 
@@ -364,7 +352,7 @@ def classify_group(
                 stages=stages,
             )
 
-        words = list(enumerate_words(norm_gens, max_length, cfg.budget))
+        words = list(enumerate_words(norm_gens, cfg.max_word_length, cfg.budget))
         c_inv = nf.conjugator.inverse()
 
         if case == CASE_I:
@@ -377,7 +365,7 @@ def classify_group(
                 stages=stages,
             )
 
-        basis = case2_build_real_span(words, tol=1e-7)
+        basis = case2_build_real_span(words)
         stage("case2_build_real_span", f"dim {basis.dim}", None)
         d = case2_conjugator(basis)
         certificate = _imag_residual_after(d, words)
@@ -400,6 +388,8 @@ def classify_group(
     except StageFailure as exc:
         stage(exc.stage, "failed", None)
         return ClassificationResult(INCONCLUSIVE, reason=exc.reason, stages=stages)
-    except (AmbiguousClassification, IllConditioned, NotLoxodromic, NotRealTrace) as exc:
+    except (
+        AmbiguousClassification, IllConditioned, NotInGroup, NotLoxodromic, NotRealTrace
+    ) as exc:
         stage("spectral", "failed", None)
         return ClassificationResult(INCONCLUSIVE, reason=str(exc), stages=stages)

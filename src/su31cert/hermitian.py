@@ -8,10 +8,11 @@ conjugation engine) works relative to this fixed J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
+
+from .config import AnalysisConfig
 
 J = np.array(
     [
@@ -22,8 +23,6 @@ J = np.array(
     ],
     dtype=complex,
 )
-
-DEFAULT_FORM_TOL = 1e-9
 
 
 class NotInGroup(ValueError):
@@ -72,7 +71,7 @@ def su31_residual(m) -> float:
     return max(form_dev, det_dev)
 
 
-def is_su31(m, tol: float = DEFAULT_FORM_TOL):
+def is_su31(m, tol: float = AnalysisConfig.tol_form):
     """Return (member?, residual) for the SU(3,1) certificate at ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -99,7 +98,7 @@ class GroupElement:
     membership_residual: float = 0.0
 
     @classmethod
-    def certify(cls, m, word: tuple = (), tol: float = DEFAULT_FORM_TOL) -> "GroupElement":
+    def certify(cls, m, word: tuple = (), tol: float = AnalysisConfig.tol_form) -> "GroupElement":
         m = as_matrix(m).copy()
         m.flags.writeable = False
         r = su31_residual(m)
@@ -122,9 +121,9 @@ class GroupElement:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def conjugated_by(self, c: "GroupElement") -> np.ndarray:
-        """c^{-1} @ self @ c as a raw matrix (used when moving coordinates)."""
-        return su31_inverse(c.entries) @ self.entries @ c.entries
+
+def matrix_of(a) -> np.ndarray:
+    return a.entries if isinstance(a, GroupElement) else as_matrix(a)
 
 
 def identity_element() -> GroupElement:
@@ -224,61 +223,49 @@ def heisenberg_inverse(p):
     return -np.asarray(z, dtype=complex).reshape(2), -float(u)
 
 
-# names and positions of the entry symbols of a general SU(3,1) matrix
-_ENTRY_NAMES = {
-    "a": (0, 0), "b": (0, 1), "c": (0, 2), "d": (0, 3),
-    "e": (1, 0), "f": (1, 1), "g": (1, 2), "h": (1, 3),
-    "l": (2, 0), "m": (2, 1), "n": (2, 2), "p": (2, 3),
-    "q": (3, 0), "r": (3, 1), "s": (3, 2), "t": (3, 3),
-}
+# entry symbols of a general SU(3,1) matrix, row by row
+_LETTERS = ("abcd", "efgh", "lmnp", "qrst")
 
 
 def matrix_entries(m) -> dict:
-    m = as_matrix(m)
-    return {name: complex(m[idx]) for name, idx in _ENTRY_NAMES.items()}
+    m = matrix_of(m)
+    return {x: complex(m[i, j]) for i, row in enumerate(_LETTERS) for j, x in enumerate(row)}
 
 
-def verify_inverse_identities(b, tol: float = None):
+# J swaps e1 and e4: (J M* J)[k, j] = conj(M[S(j), S(k)]).  Both products P of M
+# and J M* J have P[i, j] = conj(P[S(j), S(i)]), so the entries with S(j) >= i suffice.
+_S = (3, 1, 2, 0)
+_IDENTITY_POSITIONS = [(i, j) for i in range(4) for j in range(4) if _S[j] >= i]
+
+
+def _identity_names(term: str, letters) -> list:
+    """One name per position; ``letters(i, j, k)`` gives the (x, y) of the k-th term."""
+    names = []
+    for i, j in _IDENTITY_POSITIONS:
+        pairs = [letters(i, j, k) for k in range(4)]
+        terms = (f"|{x}|^2" if x == y else term.format(x, y) for x, y in pairs)
+        names.append("+".join(terms) + f"={int(i == j)}")
+    return names
+
+
+_IDENTITY_NAMES = _identity_names(
+    "{}*conj({})", lambda i, j, k: (_LETTERS[i][k], _LETTERS[_S[j]][_S[k]])
+) + _identity_names("conj({}){}", lambda i, j, k: (_LETTERS[_S[k]][_S[i]], _LETTERS[k][j]))
+
+
+def verify_inverse_identities(b):
     """The 20 entrywise identities equivalent to B B^{-1} = B^{-1} B = I.
 
     Returns a list of (name, residual) in a fixed order; every residual is
-    |LHS - RHS| and vanishes for a genuine member. ``tol`` is advisory only:
-    when given, the list is unchanged but an overall flag could be derived by
-    the caller; this function is diagnostic and never raises.
+    |LHS - RHS| and vanishes for a genuine member.
     """
-    if isinstance(b, GroupElement):
-        m = b.entries
-    else:
-        m = as_matrix(b)
-    E = matrix_entries(m)
-    a, b_, c, d = E["a"], E["b"], E["c"], E["d"]
-    e, f, g, h = E["e"], E["f"], E["g"], E["h"]
-    l, mm, n, p = E["l"], E["m"], E["n"], E["p"]
-    q, r, s, t = E["q"], E["r"], E["s"], E["t"]
-    cj = np.conj
-    checks = [
-        ("a*conj(t)+b*conj(r)+c*conj(s)+d*conj(q)=1", a * cj(t) + b_ * cj(r) + c * cj(s) + d * cj(q), 1),
-        ("a*conj(h)+b*conj(f)+c*conj(g)+d*conj(e)=0", a * cj(h) + b_ * cj(f) + c * cj(g) + d * cj(e), 0),
-        ("a*conj(p)+b*conj(m)+c*conj(n)+d*conj(l)=0", a * cj(p) + b_ * cj(mm) + c * cj(n) + d * cj(l), 0),
-        ("a*conj(d)+|b|^2+|c|^2+d*conj(a)=0", a * cj(d) + abs(b_) ** 2 + abs(c) ** 2 + d * cj(a), 0),
-        ("e*conj(t)+f*conj(r)+g*conj(s)+h*conj(q)=0", e * cj(t) + f * cj(r) + g * cj(s) + h * cj(q), 0),
-        ("e*conj(h)+|f|^2+|g|^2+h*conj(e)=1", e * cj(h) + abs(f) ** 2 + abs(g) ** 2 + h * cj(e), 1),
-        ("e*conj(p)+f*conj(m)+g*conj(n)+h*conj(l)=0", e * cj(p) + f * cj(mm) + g * cj(n) + h * cj(l), 0),
-        ("l*conj(t)+m*conj(r)+n*conj(s)+p*conj(q)=0", l * cj(t) + mm * cj(r) + n * cj(s) + p * cj(q), 0),
-        ("l*conj(p)+|m|^2+|n|^2+p*conj(l)=1", l * cj(p) + abs(mm) ** 2 + abs(n) ** 2 + p * cj(l), 1),
-        ("q*conj(t)+|r|^2+|s|^2+t*conj(q)=0", q * cj(t) + abs(r) ** 2 + abs(s) ** 2 + t * cj(q), 0),
-        ("conj(t)a+conj(h)e+conj(p)l+conj(d)q=1", cj(t) * a + cj(h) * e + cj(p) * l + cj(d) * q, 1),
-        ("conj(t)b+conj(h)f+conj(p)m+conj(d)r=0", cj(t) * b_ + cj(h) * f + cj(p) * mm + cj(d) * r, 0),
-        ("conj(t)c+conj(h)g+conj(p)n+conj(d)s=0", cj(t) * c + cj(h) * g + cj(p) * n + cj(d) * s, 0),
-        ("conj(t)d+|h|^2+|p|^2+conj(d)t=0", cj(t) * d + abs(h) ** 2 + abs(p) ** 2 + cj(d) * t, 0),
-        ("conj(r)a+conj(f)e+conj(m)l+conj(b)q=0", cj(r) * a + cj(f) * e + cj(mm) * l + cj(b_) * q, 0),
-        ("conj(r)b+|f|^2+|m|^2+conj(b)r=1", cj(r) * b_ + abs(f) ** 2 + abs(mm) ** 2 + cj(b_) * r, 1),
-        ("conj(r)c+conj(f)g+conj(m)n+conj(b)s=0", cj(r) * c + cj(f) * g + cj(mm) * n + cj(b_) * s, 0),
-        ("conj(s)a+conj(g)e+conj(n)l+conj(c)q=0", cj(s) * a + cj(g) * e + cj(n) * l + cj(c) * q, 0),
-        ("conj(s)c+|g|^2+|n|^2+conj(c)s=1", cj(s) * c + abs(g) ** 2 + abs(n) ** 2 + cj(c) * s, 1),
-        ("conj(q)a+|e|^2+|l|^2+conj(a)q=0", cj(q) * a + abs(e) ** 2 + abs(l) ** 2 + cj(a) * q, 0),
+    m = matrix_of(b)
+    inv = su31_inverse(m)
+    residuals = [
+        abs(product[p]) for product in (m @ inv - np.eye(4), inv @ m - np.eye(4))
+        for p in _IDENTITY_POSITIONS
     ]
-    return [(name, abs(val - target)) for name, val, target in checks]
+    return [(name, float(r)) for name, r in zip(_IDENTITY_NAMES, residuals)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ traces once a diagonal loxodromic has been normalized into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .config import AnalysisConfig
 from .hermitian import GroupElement, matrix_entries, su31_residual
-
-DEFAULT_BUDGET = 10**6
 
 REAL_PAIR = "real_pair"
 IMAGINARY_PAIR = "imaginary_pair"
@@ -45,7 +44,7 @@ def reduced_word_count(n_gens: int, max_length: int) -> int:
 def enumerate_words(
     gens: Sequence[GroupElement],
     max_length: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = AnalysisConfig.budget,
 ) -> Iterator[GroupElement]:
     """All reduced words up to ``max_length``, by length then lexicographically.
 
@@ -97,8 +96,8 @@ class TraceReport:
 def trace_reality_report(
     gens: Sequence[GroupElement],
     max_length: int,
-    tol_real: float = 1e-8,
-    budget: int = DEFAULT_BUDGET,
+    tol_real: float = AnalysisConfig.tol_real,
+    budget: int = AnalysisConfig.budget,
 ) -> TraceReport:
     """Scan all reduced words; AllReal iff every |Im tr| <= tol_real.
 
@@ -145,7 +144,7 @@ def lemma22_branch(a: complex, b: complex, tol: float = 1e-9, tol_abs: float = 1
 
 def entry_reality_check(b) -> dict:
     """Imaginary parts of a, t, f+n; all vanish in a normalized real-trace group."""
-    E = matrix_entries(b.entries if isinstance(b, GroupElement) else b)
+    E = matrix_entries(b)
     return {
         "im_a": abs(E["a"].imag),
         "im_t": abs(E["t"].imag),
@@ -160,8 +159,8 @@ def pairwise_reality_checks(b1, b2) -> dict:
     quantities; with b2 = b1^{-1} it reproduces b1*conj(r1)+c1*conj(s1)
     and d1*conj(q1).
     """
-    E1 = matrix_entries(b1.entries if isinstance(b1, GroupElement) else b1)
-    E2 = matrix_entries(b2.entries if isinstance(b2, GroupElement) else b2)
+    E1 = matrix_entries(b1)
+    E2 = matrix_entries(b2)
     quantities = {
         "b1e2+c1l2": E1["b"] * E2["e"] + E1["c"] * E2["l"],
         "d1q2": E1["d"] * E2["q"],

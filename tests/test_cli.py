@@ -179,3 +179,27 @@ class TestGenCorpus:
         for out_dir in (a, b):
             run(capsys, "gen-corpus", "--kind", "generic", "--seed", "3", "--out", str(out_dir))
         assert (a / "generic_3.json").read_bytes() == (b / "generic_3.json").read_bytes()
+
+
+class TestCommandSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["element", "--matrix", "m.json", "--max-word-len", "4"],
+            ["cartan", "--vectors", "v.json", "--tol-real", "1e-8"],
+            ["classify", "--generators", "g.json", "--jobs", "2"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_membership_failure_exits_two_with_report(self, tmp_path, capsys):
+        g1, g2 = real_form_corpus(0)
+        word = g2 @ g1 @ g2 @ g1.inverse() @ g1.inverse() @ g2.inverse()  # (2, 1, 2, -1, -1, -2)
+        f = tmp_path / "gens.json"
+        write_generators(f, [g1, word.inverse()])
+        code, out, _ = run(capsys, "classify", "--generators", str(f), "--max-word-len", "3")
+        assert code == 2
+        assert json.loads(out)["verdict"] == "inconclusive"

@@ -237,3 +237,23 @@ class TestClassifyGroup:
         assert data["conjugator"] is not None
         assert data["config"]["max_word_length"] == 4
         assert all({"name", "status", "residual"} <= set(s) for s in data["stages"])
+
+
+def membership_failure_generators():
+    """Normalizing this group's first loxodromic gives a conjugator with residual 1.9e-8."""
+    g1, g2 = real_form_corpus(0)
+    word = g2 @ g1 @ g2 @ g1.inverse() @ g1.inverse() @ g2.inverse()  # (2, 1, 2, -1, -1, -2)
+    return [g1, word.inverse()]
+
+
+class TestConfigAndFailures:
+    def test_membership_failure_is_inconclusive(self):
+        res = classify_group(membership_failure_generators(), 3)
+        assert res.verdict == INCONCLUSIVE
+        assert "membership residual" in res.reason
+
+    def test_config_is_the_only_source_of_word_length(self):
+        cfg = AnalysisConfig(max_word_length=2, budget=30)
+        res = classify_group(real_form_corpus(0), 4, cfg)
+        assert res.verdict == REAL_FORM
+        assert res.to_json(cfg)["config"]["max_word_length"] == 2
