@@ -28,13 +28,14 @@ from .hermitian import (
 from .cartan import BoundaryTriple, DegenerateTriple, cartan_invariant, triple_geometry
 from .elements import (
     LOXODROMIC,
+    IllConditioned,
     NotLoxodromic,
     NotRealTrace,
     classify,
     normalize_loxodromic,
 )
 from .engine import INCONCLUSIVE, classify_group
-from .tracefield import trace_reality_report
+from .tracefield import BudgetExceeded, trace_reality_report
 from . import corpus
 
 log = logging.getLogger("su31cert")
@@ -113,7 +114,7 @@ def cmd_element(args) -> int:
             payload["u"] = nf.u
             payload["theta"] = nf.theta
             payload["conjugator"] = matrix_to_json(nf.conjugator.entries)
-        except (NotRealTrace, NotLoxodromic) as exc:
+        except (IllConditioned, NotInGroup, NotLoxodromic, NotRealTrace) as exc:
             payload["normal_form_error"] = str(exc)
     _emit(payload, args.out)
     return 0
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, BudgetExceeded) as exc:  # --max-word-len asks for more words than --budget
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

@@ -6,6 +6,13 @@ palindromic), so the substitution s = t + 1/t splits it into two quadratics
 and the spectrum pairs up as {u, 1/u, e^{i theta}, e^{-i theta}}.  That
 structure drives both the loxodromic/parabolic/elliptic classification and
 the diagonal normal form used by the conjugation engine.
+
+The quartic is kept over np.linalg.eigvals.  eigvals splits the 3x3 Jordan
+block of a conjugated horizontal Heisenberg translation by ~eps^(1/3) and
+tags 19 of 50 such parabolics loxodromic; the quartic tags all 50 parabolic.
+Its one gain: with the absolute conjugator tolerance of normalize_loxodromic,
+NotInGroup would fall from 125 to 3 of the 64280 loxodromic words up to L=5
+of real_form and product_form corpora 0-69.
 """
 
 from __future__ import annotations

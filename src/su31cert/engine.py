@@ -4,8 +4,15 @@ Stages: trace-reality scan -> find a loxodromic -> diagonalize it (move its
 axis to the standard one) -> find a second loxodromic whose corner product
 d*q is structurally nonzero -> branch on whether d, q are purely imaginary
 (block SU(1,1)xSU(2) case) or real (totally real span / SO(3,1) case) ->
-construct and certify the conjugator.  Every failure is encoded in the
-verdict; the pipeline never claims more than its residuals certify.
+construct the conjugator D -> certify it at the input generators.
+
+The certificate is the largest target-shape residual of D g D^{-1} over each
+input generator g and its inverse: the block-form residual for
+compact_product_form, max |Im entry| for real_form.  Both targets are groups,
+so these 2k matrices certify every word; the certificate does not depend on
+the word length and can be re-checked from the input and the emitted D
+alone.  Every failure is encoded in the verdict; the pipeline never claims
+more than its residuals certify.
 """
 
 from __future__ import annotations
@@ -58,13 +65,9 @@ SPAN_IMAG_TOL = 1e-7   # |Im <v_i, v_j>| / scale^2 above this is no rounding of 
 SPAN_RANK_TOL = 1e-9   # singular-value ratios below this are rounding, not a new direction
 CONJUGATOR_TOL = 1e-8  # D's membership bound; Gram eigenvalues nearer 0 make D ill-conditioned
 
-# index pairs outside the corner + middle block pattern
-_OFF_BLOCK = [
-    (i, j)
-    for i in range(4)
-    for j in range(4)
-    if (i, j) not in {(0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)}
-]
+# True on the corner + middle block pattern of SU(1,1)xSU(2)
+_BLOCK = np.zeros((4, 4), dtype=bool)
+_BLOCK[np.ix_([0, 3], [0, 3])] = _BLOCK[1:3, 1:3] = True
 _SWAP2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -131,6 +134,13 @@ class RealSpanBasis:
     dim: int
 
 
+def _is_loxodromic(element: GroupElement, tol: float) -> bool:
+    try:
+        return classify(element, tol).tag == LOXODROMIC
+    except (AmbiguousClassification, IllConditioned):
+        return False
+
+
 def find_loxodromic(
     gens: Sequence[GroupElement],
     max_length: int,
@@ -139,11 +149,8 @@ def find_loxodromic(
 ) -> GroupElement:
     """First word (enumeration order) classified loxodromic."""
     for element in enumerate_words(gens, max_length, budget):
-        try:
-            if classify(element, tol).tag == LOXODROMIC:
-                return element
-        except (AmbiguousClassification, IllConditioned):
-            continue
+        if _is_loxodromic(element, tol):
+            return element
     raise StageFailure("find_loxodromic", "no loxodromic word within the budget")
 
 
@@ -152,11 +159,8 @@ def normalize_group(gens: Sequence[GroupElement], a_lox: GroupElement):
     nf = normalize_loxodromic(a_lox)
     c = nf.conjugator.entries
     c_inv = su31_inverse(c)
-    new_gens = [
-        GroupElement(c_inv @ g.entries @ c, g.word, su31_residual(c_inv @ g.entries @ c))
-        for g in gens
-    ]
-    return new_gens, nf
+    conj = [(g.word, c_inv @ g.entries @ c) for g in gens]
+    return [GroupElement(m, word, su31_residual(m)) for word, m in conj], nf
 
 
 def find_branch_witness(
@@ -174,13 +178,8 @@ def find_branch_witness(
     """
     for element in enumerate_words(gens, max_length, budget):
         m = element.entries
-        if abs(m[0, 3] * m[3, 0]) <= tol_corner * norm_max(m):
-            continue
-        try:
-            if classify(element, tol_spec).tag == LOXODROMIC:
-                return element
-        except (AmbiguousClassification, IllConditioned):
-            continue
+        if abs(m[0, 3] * m[3, 0]) > tol_corner * norm_max(m) and _is_loxodromic(element, tol_spec):
+            return element
     raise StageFailure(
         "find_branch_witness",
         "no loxodromic word with structurally nonzero corner entries; "
@@ -195,8 +194,8 @@ def detect_case(b0: GroupElement, tol_rel: float = AnalysisConfig.tol_rel) -> st
 
 
 def _case1_word_residual(m: np.ndarray) -> float:
-    off = max(abs(m[i, j]) for i, j in _OFF_BLOCK)
-    corner = np.array([[m[0, 0], m[0, 3]], [m[3, 0], m[3, 3]]])
+    off = norm_max(m[~_BLOCK])
+    corner = m[np.ix_([0, 3], [0, 3])]
     middle = m[1:3, 1:3]
     corner_form = norm_max(corner.conj().T @ _SWAP2 @ corner - _SWAP2)
     corner_det = abs(np.linalg.det(corner) - 1.0)
@@ -229,26 +228,19 @@ def case2_build_real_span(words: Sequence[GroupElement]) -> RealSpanBasis:
     directions appear.
     """
     basis: List[np.ndarray] = [np.array([0, 0, 0, 1], dtype=complex)]
-    rows = [_real_coords(basis[0])]
     for element in words:
         if len(basis) == 4:
             break
         v = element.entries[:, 3].copy()
-        stacked = np.vstack(rows + [_real_coords(v)])
+        stacked = np.array([_real_coords(b) for b in basis + [v]])
         sv = np.linalg.svd(stacked, compute_uv=False)
         if sv[-1] > SPAN_RANK_TOL * sv[0]:
             basis.append(v)
-            rows.append(_real_coords(v))
     scale = max(float(np.linalg.norm(v)) for v in basis)
     gram_c = np.array([[herm_inner(vj, vi) for vj in basis] for vi in basis])
-    worst = (0, 0)
-    worst_im = 0.0
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            im = abs(gram_c[i, j].imag)
-            if im > worst_im:
-                worst_im = im
-                worst = (i, j)
+    im = np.abs(gram_c.imag)
+    worst = divmod(int(np.argmax(im)), len(basis))
+    worst_im = float(im[worst])
     if worst_im > SPAN_IMAG_TOL * scale**2:
         reason = f"Im<v_i, v_j> = {worst_im:.3e} for basis pair {worst}"
         raise StageFailure("case2_build_real_span", reason)
@@ -293,14 +285,15 @@ def case2_conjugator(basis: RealSpanBasis) -> GroupElement:
     return GroupElement.certify(d, tol=CONJUGATOR_TOL)
 
 
-def _imag_residual_after(d: GroupElement, words: Sequence[GroupElement]) -> float:
+def conjugated_generators(d: GroupElement, gens: Sequence[GroupElement]) -> List[GroupElement]:
+    """D g D^{-1} for each generator g and its inverse, labelled as the words (i,) and (-i,)."""
     d_mat = d.entries
     d_inv = su31_inverse(d_mat)
-    worst = 0.0
-    for element in words:
-        conj = d_mat @ element.entries @ d_inv
-        worst = max(worst, float(np.max(np.abs(conj.imag))))
-    return worst
+    return [
+        GroupElement(d_mat @ m @ d_inv, (sign * i,))
+        for i, g in enumerate(gens, 1)
+        for sign, m in ((1, g.entries), (-1, su31_inverse(g.entries)))
+    ]
 
 
 def classify_group(
@@ -352,34 +345,29 @@ def classify_group(
                 stages=stages,
             )
 
-        words = list(enumerate_words(norm_gens, cfg.max_word_length, cfg.budget))
         c_inv = nf.conjugator.inverse()
-
         if case == CASE_I:
-            certificate = case1_certify(words, cfg.tol_cert)
+            verdict, conjugator = COMPACT_PRODUCT_FORM, c_inv
+            certificate = case1_certify(conjugated_generators(conjugator, gens), cfg.tol_cert)
             stage("case1_certify", "ok", certificate)
-            return ClassificationResult(
-                COMPACT_PRODUCT_FORM,
-                conjugator=c_inv,
-                certificate=certificate,
-                stages=stages,
+        else:
+            basis = case2_build_real_span(
+                enumerate_words(norm_gens, cfg.max_word_length, cfg.budget)
             )
-
-        basis = case2_build_real_span(words)
-        stage("case2_build_real_span", f"dim {basis.dim}", None)
-        d = case2_conjugator(basis)
-        certificate = _imag_residual_after(d, words)
-        stage("case2_conjugator", "ok", certificate)
-        if certificate > cfg.tol_cert:
-            return ClassificationResult(
-                INCONCLUSIVE,
-                reason=f"real-form certificate {certificate:.3e} above the "
-                f"configured bound {cfg.tol_cert:.1e}",
-                stages=stages,
-            )
-        d_total = d @ c_inv
+            stage("case2_build_real_span", f"dim {basis.dim}", None)
+            verdict, conjugator = REAL_FORM, case2_conjugator(basis) @ c_inv
+            letters = conjugated_generators(conjugator, gens)
+            certificate = max(norm_max(e.entries.imag) for e in letters)
+            stage("case2_conjugator", "ok", certificate)
+            if certificate > cfg.tol_cert:
+                return ClassificationResult(
+                    INCONCLUSIVE,
+                    reason=f"real-form certificate {certificate:.3e} above the "
+                    f"configured bound {cfg.tol_cert:.1e}",
+                    stages=stages,
+                )
         return ClassificationResult(
-            REAL_FORM, conjugator=d_total, certificate=certificate, stages=stages
+            verdict, conjugator=conjugator, certificate=certificate, stages=stages
         )
 
     except BudgetExceeded as exc:

@@ -203,3 +203,23 @@ class TestCommandSurface:
         code, out, _ = run(capsys, "classify", "--generators", str(f), "--max-word-len", "3")
         assert code == 2
         assert json.loads(out)["verdict"] == "inconclusive"
+
+
+class TestErrorPaths:
+    def test_trace_over_budget_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "gens.json"
+        write_generators(f, real_form_corpus(0))
+        code, _, err = run(capsys, "trace", "--generators", str(f), "--max-word-len", "20")
+        assert code == 1
+        assert "exceeds budget" in json.loads(err)["error"]
+
+    def test_element_normal_form_failure_is_reported(self, tmp_path, capsys):
+        g1, g2 = real_form_corpus(0)
+        word = g1.inverse() @ g2.inverse() @ g1 @ g1  # (-1, -2, 1, 1)
+        f = tmp_path / "w.json"
+        f.write_text(json.dumps(matrix_to_json(word.entries)))
+        code, out, _ = run(capsys, "element", "--matrix", str(f))
+        assert code == 0
+        data = json.loads(out)
+        assert data["type"] == "loxodromic"
+        assert "membership residual" in data["normal_form_error"]

@@ -146,6 +146,29 @@ class TestClassify:
         assert len(kind.fixed_points) == 1
         assert kind.fixed_points[0].proportional_to(siegel_infinity())
 
+    def test_conjugated_horizontal_heisenberg_translations_parabolic(self):
+        # translation by (zeta, 0): unipotent with a 3x3 Jordan block, which a
+        # general eigensolver splits into moduli ~1 +- eps^(1/3), outside the unit band
+        from su31cert.hermitian import BoundaryPoint
+
+        rng = np.random.default_rng(20)
+        s = np.sqrt(2.0)
+        for _ in range(50):
+            z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            t = np.array(
+                [
+                    [1, -s * np.conj(z1), -s * np.conj(z2), -(abs(z1) ** 2 + abs(z2) ** 2)],
+                    [0, 1, 0, s * z1],
+                    [0, 0, 1, s * z2],
+                    [0, 0, 0, 1],
+                ]
+            )
+            p = random_su31(rng).entries
+            a = GroupElement.certify(p @ t @ np.linalg.inv(p), tol=1e-7)
+            kind = classify(a)
+            assert kind.tag == PARABOLIC
+            assert kind.fixed_points[0].proportional_to(BoundaryPoint.from_vector(p[:, 0]), 1e-6)
+
     def test_conjugation_invariant(self):
         rng = np.random.default_rng(16)
         samples = [

@@ -21,7 +21,7 @@ from su31cert.engine import (
     find_loxodromic,
     normalize_group,
 )
-from su31cert.hermitian import norm_max, su31_inverse
+from su31cert.hermitian import identity_element, norm_max, su31_inverse
 from su31cert.tracefield import IMAGINARY_PAIR, REAL_PAIR, enumerate_words
 from su31cert.corpus import (
     generic_corpus,
@@ -257,3 +257,53 @@ class TestConfigAndFailures:
         res = classify_group(real_form_corpus(0), 4, cfg)
         assert res.verdict == REAL_FORM
         assert res.to_json(cfg)["config"]["max_word_length"] == 2
+
+
+def recheck_certificate(gens, res):
+    """The certificate rebuilt in plain numpy from the raw generators and the conjugator."""
+    d = res.conjugator.entries
+    d_inv = np.linalg.inv(d)
+    letters = [d @ m @ d_inv for g in gens for m in (g.entries, np.linalg.inv(g.entries))]
+    if res.verdict == REAL_FORM:
+        return max(np.abs(m.imag).max() for m in letters)
+    swap = np.array([[0, 1], [1, 0]])
+    worst = 0.0
+    for m in letters:
+        corner = m[np.ix_([0, 3], [0, 3])]
+        middle = m[1:3, 1:3]
+        off = m.copy()
+        off[np.ix_([0, 3], [0, 3])] = 0
+        off[1:3, 1:3] = 0
+        worst = max(
+            worst,
+            np.abs(off).max(),
+            np.abs(corner.conj().T @ swap @ corner - swap).max(),
+            abs(np.linalg.det(corner) - 1),
+            np.abs(middle.conj().T @ middle - np.eye(2)).max(),
+            abs(np.linalg.det(middle) - 1),
+        )
+    return worst
+
+
+class TestGeneratorCertificate:
+    def test_long_product_word_does_not_break_the_verdict(self):
+        res = classify_group(product_form_corpus(1038324247), 7)
+        assert res.verdict == COMPACT_PRODUCT_FORM, res.reason
+
+    @pytest.mark.parametrize("make", [real_form_corpus, product_form_corpus])
+    def test_rechecked_from_generators_and_independent_of_length(self, make):
+        for seed in range(5):
+            gens = make(seed)
+            short = classify_group(gens, 3)
+            long = classify_group(gens, 6)
+            assert short.verdict in (REAL_FORM, COMPACT_PRODUCT_FORM)
+            assert abs(recheck_certificate(gens, short) - short.certificate) <= 1e-12
+            assert long.certificate == short.certificate
+
+    def test_violation_names_the_generator(self):
+        from su31cert.engine import conjugated_generators
+
+        gens = real_form_corpus(3, conjugate=False)
+        with pytest.raises(BlockViolation) as exc:
+            case1_certify(conjugated_generators(identity_element(), gens))
+        assert exc.value.word in ((1,), (-1,), (2,), (-2,))
