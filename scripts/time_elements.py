@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Median cost of one classify and one normalize_loxodromic call.
+
+classify is timed on every word up to L of corpus 0 of each kind, and
+normalize_loxodromic on the real-trace loxodromic words among them (the
+words of the spectral_L5 benchmark at L=5).  Each call is timed alone with
+time.perf_counter over --passes passes; a call that raises counts its time.
+
+Usage:
+    python3 scripts/time_elements.py --length 5 --passes 3
+"""
+
+import argparse
+import statistics
+import sys
+import time
+
+from su31cert import corpus, elements, tracefield
+
+
+def median_ms(fn, words, passes: int) -> float:
+    times = []
+    for _ in range(passes):
+        for w in words:
+            start = time.perf_counter()
+            try:
+                fn(w)
+            except (ValueError, RuntimeError):  # NotInGroup, IllConditioned, ...
+                pass
+            times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--length", type=int, default=5)
+    parser.add_argument("--passes", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    words, real_trace = [], []
+    for kind in ("real_form", "product_form", "generic"):
+        for w in tracefield.enumerate_words(corpus.make_corpus(kind, 0), args.length):
+            words.append(w)
+            if kind != "generic" and elements.classify(w).tag == elements.LOXODROMIC:
+                real_trace.append(w)
+    for name, sample in (("classify", words), ("normalize_loxodromic", real_trace)):
+        ms = median_ms(getattr(elements, name), sample, args.passes)
+        print(f"{name:<21} {ms:.3f} ms  ({len(sample)} words)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

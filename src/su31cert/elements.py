@@ -10,9 +10,9 @@ the diagonal normal form used by the conjugation engine.
 The quartic is kept over np.linalg.eigvals.  eigvals splits the 3x3 Jordan
 block of a conjugated horizontal Heisenberg translation by ~eps^(1/3) and
 tags 19 of 50 such parabolics loxodromic; the quartic tags all 50 parabolic.
-Its one gain: with the absolute conjugator tolerance of normalize_loxodromic,
-NotInGroup would fall from 125 to 3 of the 64280 loxodromic words up to L=5
-of real_form and product_form corpora 0-69.
+Its one gain: normalize_loxodromic would raise NotInGroup on 0 instead of 54
+of the 64280 loxodromic words up to L=5 of real_form and product_form corpora
+0-69, whose middle eigenvalues lie close enough to lose J-orthogonality.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ CLUSTER_TOL = 1e-5         # polished simple roots are far closer than this: onl
 COARSE_CLUSTER_TOL = 1e-3  # a multiple root is only good to ~eps^(1/4) ~ 1e-4; this re-merges it
 PIVOT_TOL = 1e-9           # smaller relative pivots are rounding in a singular A - lambda I
 COLLISION_TOL = 1e-6       # nearer middle eigenvalues are theta in {0, pi}; vectors unreliable
+SELFDUAL_TOL = 1e-10       # the s = t + 1/t split is exact only on a truly palindromic quartic
+EIGEN_TOL = 1e-8           # relative eigenvector residual beyond which no basis is trusted
+NORMAL_FORM_TOL = 1e-8     # floor of the conjugator and normal-form checks, relative to entries
+PAIRING_FLOOR = 1e-12      # smaller <c1, c4>: the two null eigenvectors are one boundary point
 
 
 class IllConditioned(RuntimeError):
@@ -96,7 +100,7 @@ def char_poly(a) -> CharPoly:
     return CharPoly((1.0 + 0j, complex(-e1), complex(e2), complex(-e3), complex(e4)))
 
 
-def is_selfdual(p: CharPoly, tol: float = 1e-9) -> bool:
+def is_selfdual(p: CharPoly, tol: float = SELFDUAL_TOL) -> bool:
     """t^4 conj(chi(1/conj(t))) = chi(t): c0 = 1, c1 = conj(c3), all coefficients real."""
     scale = 1.0 + max(abs(c) for c in p.coefficients)
     return (
@@ -110,7 +114,7 @@ def is_selfdual(p: CharPoly, tol: float = 1e-9) -> bool:
 
 def _quartic_roots(p: CharPoly) -> np.ndarray:
     coeffs = np.asarray(p.coefficients, dtype=complex)
-    if is_selfdual(p, tol=1e-10):
+    if is_selfdual(p):
         # chi(t)/t^2 = s^2 + c3 s + (c2 - 2) with s = t + 1/t
         s_roots = np.roots([1.0, p.c3.real, p.c2.real - 2.0])
         roots = []
@@ -189,41 +193,49 @@ class EigenDecomposition:
         return np.asarray([p.value for p in self.pairs])
 
 
-def eigen_solve(a, tol: float = 1e-8) -> EigenDecomposition:
+def _cluster_pairs(m: np.ndarray, groups: List[np.ndarray], scale: float):
+    """(worst residual, eigenpairs, defective) with one null-space basis per cluster."""
+    pairs: List[EigenPair] = []
+    defective = False
+    for group in groups:
+        lam = complex(np.mean(group))
+        shifted = m - lam * np.eye(4)
+        geo = 1  # a simple root has a one-dimensional eigenspace: no rank to decide
+        if len(group) > 1:
+            geo = max(1, min(4 - complete_pivot_rank(shifted, PIVOT_TOL * scale), len(group)))
+            defective = defective or geo < len(group)
+        for vec in _null_space(shifted, geo).T:
+            # Rayleigh refinement helps clustered-but-simple spectra
+            mv = m @ vec
+            lam_r = complex(np.vdot(vec, mv))
+            pairs.append(EigenPair(lam_r, vec, float(np.linalg.norm(mv - lam_r * vec))))
+    return max(p.residual for p in pairs), pairs, defective
+
+
+def eigen_solve(a, tol: float = EIGEN_TOL) -> EigenDecomposition:
     """Eigenpairs of a 4x4 J-isometry from its quartic characteristic polynomial.
 
     Roots are clustered; each cluster contributes its geometric multiplicity
-    worth of eigenvectors (null space of A - lambda I, rank decided by
-    complete-pivot elimination).  ``defective`` flags geometric < algebraic
-    anywhere in the spectrum.
+    worth of eigenvectors (null space of A - lambda I): one for a simple root,
+    and for a repeated root as decided by complete-pivot elimination.
+    ``defective`` flags geometric < algebraic anywhere in the spectrum.
+
+    A tight clustering can split a multiple root and poison the null spaces.
+    When clustering at COARSE_CLUSTER_TOL gives another partition, that one is
+    solved too and kept if its worst residual is smaller; merging genuinely
+    distinct eigenvalues always loses because the forced one-dimensional null
+    space has O(gap) residual.
     """
     m = matrix_of(a)
     scale = max(norm_max(m), 1.0)
     roots = _quartic_roots(char_poly(m))
-    best = None
-    # A tight clustering can split a multiple root and poison the null spaces.
-    # Try a coarser clustering too and keep whichever basis fits the matrix
-    # best; merging genuinely distinct eigenvalues always loses this contest
-    # because the forced one-dimensional null space has O(gap) residual.
-    for ctol in (CLUSTER_TOL, COARSE_CLUSTER_TOL):
-        pairs: List[EigenPair] = []
-        defective = False
-        for group in _cluster(roots, ctol):
-            lam = complex(np.mean(group))
-            shifted = m - lam * np.eye(4)
-            geo = 4 - complete_pivot_rank(shifted, pivot_tol=PIVOT_TOL * scale)
-            geo = max(1, min(geo, len(group)))
-            if geo < len(group):
-                defective = True
-            for vec in _null_space(shifted, geo).T:
-                # Rayleigh refinement helps clustered-but-simple spectra
-                lam_r = complex(np.vdot(vec, m @ vec))
-                res = float(np.linalg.norm(m @ vec - lam_r * vec))
-                pairs.append(EigenPair(lam_r, vec, res))
-        worst = max(p.residual for p in pairs)
-        if best is None or worst < best[0]:
-            best = (worst, pairs, defective)
-    worst, pairs, defective = best
+    fine = _cluster(roots, CLUSTER_TOL)
+    coarse = _cluster(roots, COARSE_CLUSTER_TOL)
+    worst, pairs, defective = _cluster_pairs(m, fine, scale)
+    if len(coarse) != len(fine) or not all(map(np.array_equal, fine, coarse)):
+        trial = _cluster_pairs(m, coarse, scale)
+        if trial[0] < worst:
+            worst, pairs, defective = trial
     if worst > tol * scale:
         raise IllConditioned(
             f"eigenvector residual {worst:.3e} exceeds {tol:.3e} * ||A||"
@@ -300,7 +312,7 @@ def _j_orthonormalize_positive(vectors: np.ndarray) -> np.ndarray:
     return np.column_stack(out)
 
 
-def normalize_loxodromic(a, tol: float = 1e-8) -> LoxodromicNormalForm:
+def normalize_loxodromic(a, tol: float = AnalysisConfig.tol_real) -> LoxodromicNormalForm:
     """Conjugate a real-trace loxodromic to diag(u, e^{i theta}, e^{-i theta}, 1/u).
 
     Columns of the conjugator C: attracting null eigenvector, two J-unit
@@ -347,15 +359,17 @@ def normalize_loxodromic(a, tol: float = 1e-8) -> LoxodromicNormalForm:
     c1 = attract.vector
     c4 = repel.vector
     pairing = herm_inner(c1, c4)
-    if abs(pairing) < 1e-12:
+    if abs(pairing) < PAIRING_FLOOR:
         raise IllConditioned("degenerate pairing between the null eigenvectors")
     c4 = c4 / np.conj(pairing)
     C = np.column_stack([c1, c_mid[:, 0], c_mid[:, 1], c4])
     detC = np.linalg.det(C)
     C = C * np.exp(-1j * np.angle(detC) / 4.0)
-    conj = GroupElement.certify(C, tol=max(tol, 1e-8))
+    # Rounding in C* J C and in (J C* J) A C grows with the square of C's entries
+    bound = max(tol, NORMAL_FORM_TOL) * max(1.0, norm_max(C)) ** 2
+    conj = GroupElement.certify(C, tol=bound)
     diag = np.diag([u, np.exp(1j * theta), np.exp(-1j * theta), 1.0 / u])
     resid = norm_max(su31_inverse(C) @ m @ C - diag)
-    if resid > max(tol, 1e-8) * max(1.0, norm_max(m)):
+    if resid > bound * max(1.0, norm_max(m)):
         raise IllConditioned(f"normal-form residual {resid:.3e}")
     return LoxodromicNormalForm(u, theta, conj)

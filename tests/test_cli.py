@@ -195,14 +195,16 @@ class TestCommandSurface:
             main(argv)
         assert exc.value.code == 2
 
-    def test_membership_failure_exits_two_with_report(self, tmp_path, capsys):
-        g1, g2 = real_form_corpus(0)
-        word = g2 @ g1 @ g2 @ g1.inverse() @ g1.inverse() @ g2.inverse()  # (2, 1, 2, -1, -1, -2)
+    def test_membership_failure_exits_two_with_report(
+        self, tmp_path, capsys, failing_normalization
+    ):
         f = tmp_path / "gens.json"
-        write_generators(f, [g1, word.inverse()])
+        write_generators(f, real_form_corpus(0))
         code, out, _ = run(capsys, "classify", "--generators", str(f), "--max-word-len", "3")
         assert code == 2
-        assert json.loads(out)["verdict"] == "inconclusive"
+        report = json.loads(out)
+        assert report["verdict"] == "inconclusive"
+        assert "membership residual" in report["reason"]
 
 
 class TestErrorPaths:
@@ -213,7 +215,9 @@ class TestErrorPaths:
         assert code == 1
         assert "exceeds budget" in json.loads(err)["error"]
 
-    def test_element_normal_form_failure_is_reported(self, tmp_path, capsys):
+    def test_element_normal_form_failure_is_reported(
+        self, tmp_path, capsys, failing_normalization
+    ):
         g1, g2 = real_form_corpus(0)
         word = g1.inverse() @ g2.inverse() @ g1 @ g1  # (-1, -2, 1, 1)
         f = tmp_path / "w.json"

@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
 from su31cert import (
     GroupElement,
+    elements,
     char_poly,
     classify,
     eigen_solve,
@@ -10,16 +13,33 @@ from su31cert import (
     normalize_loxodromic,
 )
 from su31cert.elements import (
+    CLUSTER_TOL,
+    COARSE_CLUSTER_TOL,
     ELLIPTIC,
     LOXODROMIC,
     PARABOLIC,
+    PIVOT_TOL,
     CharPoly,
+    EigenDecomposition,
+    EigenPair,
+    IllConditioned,
     NotLoxodromic,
     NotRealTrace,
+    _cluster,
+    _null_space,
+    _quartic_roots,
     complete_pivot_rank,
 )
-from su31cert.hermitian import norm_max, siegel_infinity, siegel_origin, su31_inverse
-from su31cert.corpus import random_su31, so31_loxodromic
+from su31cert.hermitian import J, matrix_of, norm_max, siegel_infinity, siegel_origin, su31_inverse
+from su31cert.corpus import (
+    CORPUS_KINDS,
+    make_corpus,
+    product_form_corpus,
+    random_su31,
+    real_form_corpus,
+    so31_loxodromic,
+)
+from su31cert.tracefield import enumerate_words
 
 
 def diag_lox(u, theta):
@@ -32,6 +52,64 @@ def unipotent():
     m = np.eye(4, dtype=complex)
     m[0, 3] = 1j
     return GroupElement.certify(m)
+
+
+def heisenberg_translations(rng, count):
+    """(conjugator P, P T P^-1) for horizontal Heisenberg translations T by (z1, z2)."""
+    s = np.sqrt(2.0)
+    out = []
+    for _ in range(count):
+        z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        t = np.array(
+            [
+                [1, -s * np.conj(z1), -s * np.conj(z2), -(abs(z1) ** 2 + abs(z2) ** 2)],
+                [0, 1, 0, s * z1],
+                [0, 0, 1, s * z2],
+                [0, 0, 0, 1],
+            ]
+        )
+        p = random_su31(rng).entries
+        out.append((p, GroupElement.certify(p @ t @ np.linalg.inv(p), tol=1e-7)))
+    return out
+
+
+def two_pass_eigen_solve(a, tol=1e-8):
+    """Reference: solve the CLUSTER_TOL and the COARSE_CLUSTER_TOL partitions in
+    full, with the rank elimination on every cluster, and keep the better one."""
+    m = matrix_of(a)
+    scale = max(norm_max(m), 1.0)
+    roots = _quartic_roots(char_poly(m))
+    best = None
+    for ctol in (CLUSTER_TOL, COARSE_CLUSTER_TOL):
+        pairs = []
+        defective = False
+        for group in _cluster(roots, ctol):
+            lam = complex(np.mean(group))
+            shifted = m - lam * np.eye(4)
+            geo = 4 - complete_pivot_rank(shifted, pivot_tol=PIVOT_TOL * scale)
+            geo = max(1, min(geo, len(group)))
+            if geo < len(group):
+                defective = True
+            for vec in _null_space(shifted, geo).T:
+                lam_r = complex(np.vdot(vec, m @ vec))
+                res = float(np.linalg.norm(m @ vec - lam_r * vec))
+                pairs.append(EigenPair(lam_r, vec, res))
+        worst = max(p.residual for p in pairs)
+        if best is None or worst < best[0]:
+            best = (worst, pairs, defective)
+    worst, pairs, defective = best
+    if worst > tol * scale:
+        raise IllConditioned(f"eigenvector residual {worst:.3e} exceeds {tol:.3e} * ||A||")
+    pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
+    return EigenDecomposition(pairs, defective)
+
+
+def word_element(gens, word):
+    out = GroupElement.certify(np.eye(4))
+    for letter in word:
+        g = gens[abs(letter) - 1]
+        out = out @ (g if letter > 0 else g.inverse())
+    return out
 
 
 class TestCharPoly:
@@ -111,6 +189,57 @@ class TestEigenSolve:
                 assert min(abs(vals - 1.0 / np.conj(lam))) <= 1e-8 * (1 + abs(lam))
 
 
+    def test_simple_spectrum_skips_rank_and_coarse_pass(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(elements, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("complete_pivot_rank", "_null_space"):
+            monkeypatch.setattr(elements, name, counted(name))
+        eigen_solve(diag_lox(2.0, np.pi / 5))
+        assert calls == {"_null_space": 4}
+
+    def test_bit_identical_to_two_pass_solver(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        samples = [w for kind in CORPUS_KINDS for w in enumerate_words(make_corpus(kind, 0), 4)]
+        samples += [unipotent(), GroupElement.certify(np.eye(4))]
+        samples += [diag_lox(2.0, theta) for theta in (0.0, np.pi)]
+        samples += [a for _, a in heisenberg_translations(rng, 10)]
+        passes = collections.Counter()
+        real_pairs = elements._cluster_pairs
+
+        def counted_pairs(m, groups, scale):
+            passes["clusters"] += 1
+            passes["repeated"] += any(len(g) > 1 for g in groups)
+            return real_pairs(m, groups, scale)
+
+        monkeypatch.setattr(elements, "_cluster_pairs", counted_pairs)
+        for a in samples:
+            try:
+                ref = two_pass_eigen_solve(a)
+            except IllConditioned as exc:
+                with pytest.raises(IllConditioned, match=str(exc)):
+                    eigen_solve(a)
+                continue
+            new = eigen_solve(a)
+            assert new.defective == ref.defective
+            assert [(p.value, p.residual) for p in new.pairs] == [
+                (p.value, p.residual) for p in ref.pairs
+            ]
+            for p, q in zip(new.pairs, ref.pairs):
+                assert p.vector.tobytes() == q.vector.tobytes()
+        # both branches ran: a coarse partition that differs, and a repeated root
+        assert passes["clusters"] > len(samples)
+        assert passes["repeated"] > 0
+
+
 class TestCompletePivotRank:
     def test_full_rank(self):
         assert complete_pivot_rank(np.eye(4), 1e-9) == 4
@@ -151,20 +280,7 @@ class TestClassify:
         # general eigensolver splits into moduli ~1 +- eps^(1/3), outside the unit band
         from su31cert.hermitian import BoundaryPoint
 
-        rng = np.random.default_rng(20)
-        s = np.sqrt(2.0)
-        for _ in range(50):
-            z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            t = np.array(
-                [
-                    [1, -s * np.conj(z1), -s * np.conj(z2), -(abs(z1) ** 2 + abs(z2) ** 2)],
-                    [0, 1, 0, s * z1],
-                    [0, 0, 1, s * z2],
-                    [0, 0, 0, 1],
-                ]
-            )
-            p = random_su31(rng).entries
-            a = GroupElement.certify(p @ t @ np.linalg.inv(p), tol=1e-7)
+        for p, a in heisenberg_translations(np.random.default_rng(20), 50):
             kind = classify(a)
             assert kind.tag == PARABOLIC
             assert kind.fixed_points[0].proportional_to(BoundaryPoint.from_vector(p[:, 0]), 1e-6)
@@ -255,3 +371,23 @@ class TestNormalizeLoxodromic:
         g = GroupElement.certify(np.diag([2j, 1, -1, 0.5j]))
         with pytest.raises(NotRealTrace):
             normalize_loxodromic(g)
+
+    @pytest.mark.parametrize(
+        "corpus, word",
+        [
+            (real_form_corpus(0), (-1, -2, 1, 1)),
+            (real_form_corpus(0), (2, 1, 2, -1, -1, -2)),
+            (product_form_corpus(1), (2, 1, -2, -1, -2)),
+            (product_form_corpus(1), (2, 1, 2, -1, -2)),
+        ],
+    )
+    def test_large_conjugator_is_certified_relative_to_its_entries(self, corpus, word):
+        # |C| reaches ~14 on these words, so an absolute 1e-8 bound on C*JC - J rejected them
+        w = word_element(corpus, word).entries
+        nf = normalize_loxodromic(w)
+        c = nf.conjugator.entries
+        c_scale = max(1.0, np.abs(c).max()) ** 2
+        assert np.abs(c.conj().T @ J @ c - J).max() <= 1e-8 * c_scale
+        assert abs(np.linalg.det(c) - 1.0) <= 1e-8 * c_scale
+        diag = np.diag([nf.u, np.exp(1j * nf.theta), np.exp(-1j * nf.theta), 1.0 / nf.u])
+        assert np.abs(np.linalg.inv(c) @ w @ c - diag).max() <= 1e-8 * max(1.0, np.abs(w).max())
