@@ -1,12 +1,12 @@
 """Certification toolkit for real-trace subgroups of SU(3,1).
 
-Given certified generators, the engine scans reduced words for trace
-reality and, when every trace is real, constructs an explicit conjugator
-into the real form SO(3,1) or the block group SU(1,1)xSU(2), with residual
-certificates for every claim.  Supporting modules expose the underlying
-complex hyperbolic geometry: the indefinite Hermitian form, element
-classification and normal forms, the Siegel/Heisenberg boundary model, and
-the Cartan angular invariant.
+Given certified generators, the engine constructs an explicit conjugator
+into the real form SO(3,1) or the block group SU(1,1)xSU(2) and certifies it
+at the generators; only when that fails does it scan reduced words for one
+with non-real trace.  Every claim comes with a residual certificate.
+Supporting modules expose the underlying complex hyperbolic geometry: the
+indefinite Hermitian form, element classification and normal forms, the
+Siegel/Heisenberg boundary model, and the Cartan angular invariant.
 """
 
 from .config import AnalysisConfig

@@ -3,7 +3,8 @@
 Subcommands: classify, element, cartan, trace, identities, gen-corpus.
 Matrix/vector JSON uses [re, im] number pairs; reports are byte-deterministic
 for fixed input and flags.  Exit codes: 0 for a definite verdict,
-2 for Inconclusive, 1 for input errors.  CHK_LOG=debug|info enables logging.
+2 for Inconclusive, 1 for input errors.  CHK_LOG=debug|info enables logging
+to stderr; at info, classify logs one line per stage record.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def cmd_classify(args) -> int:
     )
     gens = _load_generators(args.generators, cfg.tol_form)
     result = classify_group(gens, config=cfg)
+    for record in result.stages:
+        log.info("stage %s: %s (residual %s)", record["name"], record["status"], record["residual"])
     _emit(result.to_json(cfg), args.out)
     return 2 if result.verdict == INCONCLUSIVE else 0
 

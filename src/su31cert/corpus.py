@@ -15,11 +15,17 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hermitian import J, GroupElement
 
 SWAP2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def expm(x: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first call: only generating a corpus needs scipy."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(x)
 
 
 def random_su31_algebra(rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import logging
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +52,20 @@ class TestClassifyCommand:
         f.write_text("{not json")
         code, _, err = run(capsys, "classify", "--generators", str(f))
         assert code == 1
+
+    def test_stage_log_lines_leave_stdout_unchanged(self, tmp_path, capsys, caplog):
+        f = tmp_path / "gens.json"
+        write_generators(f, real_form_corpus(0))
+        quiet = run(capsys, "classify", "--generators", str(f))[1]
+        assert not [r for r in caplog.records if r.name == "su31cert"]
+        caplog.set_level(logging.INFO, logger="su31cert")
+        code, out, _ = run(capsys, "classify", "--generators", str(f))
+        assert code == 0 and out == quiet
+        lines = [r.getMessage() for r in caplog.records if r.name == "su31cert"]
+        stages = json.loads(out)["stages"]
+        assert lines == [
+            f"stage {s['name']}: {s['status']} (residual {s['residual']})" for s in stages
+        ]
 
     def test_out_file_and_determinism(self, tmp_path, capsys):
         f = tmp_path / "gens.json"
@@ -182,6 +199,13 @@ class TestGenCorpus:
 
 
 class TestCommandSurface:
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, su31cert.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from su31cert import GroupElement, classify_group, is_su31, lemma22_branch
 from su31cert.config import AnalysisConfig
+from su31cert import engine
 from su31cert.engine import (
     CASE_AMBIGUOUS,
     CASE_I,
@@ -22,11 +24,12 @@ from su31cert.engine import (
     normalize_group,
 )
 from su31cert.hermitian import identity_element, norm_max, su31_inverse
-from su31cert.tracefield import IMAGINARY_PAIR, REAL_PAIR, enumerate_words
+from su31cert.tracefield import IMAGINARY_PAIR, REAL_PAIR, enumerate_words, trace_reality_report
 from su31cert.corpus import (
     generic_corpus,
     product_form_corpus,
     random_so31,
+    random_su31_algebra,
     real_form_corpus,
     so31_loxodromic,
 )
@@ -254,7 +257,16 @@ class TestConfigAndFailures:
 
 
 def recheck_certificate(gens, res):
-    """The certificate rebuilt in plain numpy from the raw generators and the conjugator."""
+    """The certificate rebuilt in plain numpy from the raw generators and the conjugator.
+
+    For not_real_trace it is |Im tr| of the witness word, multiplied out from the generators.
+    """
+    if res.verdict == NOT_REAL_TRACE:
+        m = np.eye(4, dtype=complex)
+        for letter in res.witness:
+            g = gens[abs(letter) - 1].entries
+            m = m @ (g if letter > 0 else np.linalg.inv(g))
+        return abs(np.trace(m).imag)
     d = res.conjugator.entries
     d_inv = np.linalg.inv(d)
     letters = [d @ m @ d_inv for g in gens for m in (g.entries, np.linalg.inv(g.entries))]
@@ -301,3 +313,66 @@ class TestGeneratorCertificate:
         with pytest.raises(BlockViolation) as exc:
             case1_certify(conjugated_generators(identity_element(), gens))
         assert exc.value.word in ((1,), (-1,), (2,), (-2,))
+
+
+def near_real(gens, eps, seed):
+    """gens with generator 2 multiplied by exp(eps X), X a seeded su(3,1) element with |X|_max = 1."""
+    x = random_su31_algebra(np.random.default_rng(10_000 + seed))
+    x /= norm_max(x)
+    return [gens[0], GroupElement.certify(gens[1].entries @ expm(eps * x))]
+
+
+@pytest.fixture
+def words_walked(monkeypatch):
+    """Count of the words the engine draws from enumerate_words."""
+    walked = [0]
+
+    def counting(*args, **kwargs):
+        for element in enumerate_words(*args, **kwargs):
+            walked[0] += 1
+            yield element
+
+    monkeypatch.setattr(engine, "enumerate_words", counting)
+    return walked
+
+
+class TestConstructionFirst:
+    @pytest.mark.parametrize("make", [real_form_corpus, product_form_corpus])
+    def test_positive_verdict_walks_the_same_words_at_every_length(self, make, words_walked):
+        for seed in range(5):
+            counts = []
+            for length in (4, 7):
+                words_walked[0] = 0
+                res = classify_group(make(seed), length)
+                assert res.verdict in (REAL_FORM, COMPACT_PRODUCT_FORM), res.reason
+                counts.append(words_walked[0])
+            assert counts[0] == counts[1], (seed, counts)
+
+    def test_rejection_stops_at_the_first_witness(self, words_walked):
+        for seed in range(3):
+            words_walked[0] = 0
+            res = classify_group(generic_corpus(seed), 8)
+            assert res.verdict == NOT_REAL_TRACE
+            assert words_walked[0] < 50, (seed, words_walked[0])
+
+    def test_witness_is_the_first_violator_and_rechecks(self):
+        for seed in range(5):
+            gens = generic_corpus(seed)
+            res = classify_group(gens, 4)
+            assert res.verdict == NOT_REAL_TRACE
+            assert res.witness == trace_reality_report(gens, 4).witness_word
+            assert res.certificate > AnalysisConfig.tol_real
+            assert abs(recheck_certificate(gens, res) - res.certificate) <= 1e-12 * max(
+                1.0, res.certificate
+            )
+            assert res.stages[-1]["name"] == "trace_reality"
+
+    def test_near_real_product_group_is_not_certified(self):
+        for seed in range(5):
+            gens = near_real(product_form_corpus(seed), 1e-8, seed)
+            res = classify_group(gens, 4)
+            assert res.verdict == NOT_REAL_TRACE, (seed, res.verdict, res.reason)
+            assert recheck_certificate(gens, res) > AnalysisConfig.tol_real
+
+    def test_one_certificate_tolerance(self):
+        assert "tol_cert" not in AnalysisConfig().to_json()
