@@ -18,10 +18,13 @@ from su31cert.engine import (
     case1_certify,
     case2_build_real_span,
     case2_conjugator,
+    certificate_bound,
+    conjugated_generators,
     detect_case,
     find_branch_witness,
     find_loxodromic,
     normalize_group,
+    relative_certificate,
 )
 from su31cert.hermitian import identity_element, norm_max, su31_inverse
 from su31cert.tracefield import IMAGINARY_PAIR, REAL_PAIR, enumerate_words, trace_reality_report
@@ -373,6 +376,37 @@ class TestConstructionFirst:
             res = classify_group(gens, 4)
             assert res.verdict == NOT_REAL_TRACE, (seed, res.verdict, res.reason)
             assert recheck_certificate(gens, res) > AnalysisConfig.tol_real
+
+    @pytest.mark.parametrize(
+        "eps, certified",
+        # product_form seed 4, whose generator deviation is amplified the most in
+        # words up to length 4: relative certificates 1.8e-11 and 2.7e-11
+        [(2.95e-11, True), (4.42e-11, False)],
+    )
+    def test_certificate_bound_keeps_length_4_words_real(self, eps, certified):
+        gens = near_real(product_form_corpus(4), eps, 4)
+        lifted = classify_group(gens, config=AnalysisConfig(tol_real=1.0))
+        rel = relative_certificate(
+            lifted.verdict, conjugated_generators(lifted.conjugator, gens)
+        )
+        assert (rel <= certificate_bound()) == certified, rel
+        scan = trace_reality_report(gens, 4)
+        res = classify_group(gens, 4)
+        if certified:
+            assert res.verdict == COMPACT_PRODUCT_FORM
+            assert scan.verdict == "all_real"
+        else:
+            assert scan.verdict == "not_real"
+            assert res.verdict == NOT_REAL_TRACE
+            assert res.witness == scan.witness_word
+
+    @pytest.mark.parametrize("make", [real_form_corpus, product_form_corpus])
+    def test_positive_verdict_is_within_the_bound(self, make):
+        for seed in range(5):
+            gens = make(seed)
+            res = classify_group(gens, 4)
+            letters = conjugated_generators(res.conjugator, gens)
+            assert relative_certificate(res.verdict, letters) <= certificate_bound()
 
     def test_one_certificate_tolerance(self):
         assert "tol_cert" not in AnalysisConfig().to_json()
