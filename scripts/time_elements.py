@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Median cost of one classify and one normalize_loxodromic call.
+"""Median cost of one eigen_solve, classify and normalize_loxodromic call.
 
-classify is timed on every word up to L of corpus 0 of each kind, and
-normalize_loxodromic on the real-trace loxodromic words among them (the
-words of the spectral_L5 benchmark at L=5).  Each call is timed alone with
+eigen_solve and classify are timed on every word up to L of corpus 0 of each
+kind, and normalize_loxodromic on the real-trace loxodromic words among them
+(the words of the spectral_L5 benchmark at L=5).  Each call is timed alone with
 time.perf_counter over --passes passes; a call that raises counts its time.
 
 Usage:
@@ -43,7 +43,8 @@ def main(argv=None) -> int:
             words.append(w)
             if kind != "generic" and elements.classify(w).tag == elements.LOXODROMIC:
                 real_trace.append(w)
-    for name, sample in (("classify", words), ("normalize_loxodromic", real_trace)):
+    rows = (("eigen_solve", words), ("classify", words), ("normalize_loxodromic", real_trace))
+    for name, sample in rows:
         ms = median_ms(getattr(elements, name), sample, args.passes)
         print(f"{name:<21} {ms:.3f} ms  ({len(sample)} words)")
     return 0

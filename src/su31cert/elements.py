@@ -115,38 +115,45 @@ def is_selfdual(p: CharPoly, tol: float = SELFDUAL_TOL) -> bool:
 def _quartic_roots(p: CharPoly) -> np.ndarray:
     coeffs = np.asarray(p.coefficients, dtype=complex)
     if is_selfdual(p):
-        # chi(t)/t^2 = s^2 + c3 s + (c2 - 2) with s = t + 1/t
+        # chi(t)/t^2 = s^2 + c3 s + (c2 - 2) with s = t + 1/t; each s gives t^2 - s t + 1,
+        # whose companion matrices [[s, -1], [1, 0]] are solved in one stacked call
         s_roots = np.roots([1.0, p.c3.real, p.c2.real - 2.0])
-        roots = []
-        for s in s_roots:
-            roots.extend(np.roots([1.0, -s, 1.0]))
-        roots = np.asarray(roots, dtype=complex)
+        companions = np.array([[[s, -1.0], [1.0, 0.0]] for s in s_roots], dtype=s_roots.dtype)
+        roots = np.linalg.eigvals(companions).ravel().astype(complex)
     else:
         roots = np.roots(coeffs)
-    # Newton polish on the quartic; skipped near multiple roots
+    # Newton polish on the quartic (Horner, as np.polyval); skipped near multiple roots
     dcoeffs = np.polyder(coeffs)
     for _ in range(3):
-        vals = np.polyval(coeffs, roots)
-        dvals = np.polyval(dcoeffs, roots)
+        vals = np.zeros_like(roots)
+        for c in coeffs:
+            vals = vals * roots + c
+        dvals = np.zeros_like(roots)
+        for c in dcoeffs:
+            dvals = dvals * roots + c
         safe = np.abs(dvals) > 1e-8 * (1.0 + np.abs(roots)) ** 3
         roots = np.where(safe, roots - vals / np.where(safe, dvals, 1.0), roots)
     return roots
 
 
-def _cluster(roots: np.ndarray, tol: float) -> List[np.ndarray]:
-    order = np.lexsort((roots.imag, roots.real))
+def _centre(group: list) -> complex:
+    """The mean of a cluster of roots; a single root is its own mean."""
+    return group[0] if len(group) == 1 else complex(np.mean(group))
+
+
+def _cluster(roots: np.ndarray, tol: float) -> List[list]:
+    """Roots in (real, imag) order, grouped within ``tol`` of a group's mean."""
+    values = roots.tolist()
     groups: List[list] = []
-    for idx in order:
-        z = roots[idx]
-        placed = False
+    for idx in np.lexsort((roots.imag, roots.real)):
+        z = values[idx]
         for g in groups:
-            if abs(z - np.mean(g)) <= tol * (1.0 + abs(z)):
+            if abs(z - _centre(g)) <= tol * (1.0 + abs(z)):
                 g.append(z)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([z])
-    return [np.asarray(g) for g in groups]
+    return groups
 
 
 def complete_pivot_rank(m, pivot_tol: float) -> int:
@@ -171,9 +178,10 @@ def complete_pivot_rank(m, pivot_tol: float) -> int:
 
 
 def _null_space(m, dim: int) -> np.ndarray:
-    """The ``dim`` right singular vectors of smallest singular value (unit columns)."""
+    """The ``dim`` right singular vectors of smallest singular value (unit columns),
+    smallest first; ``m`` may be a stack of matrices, one basis per matrix."""
     _, _, vh = np.linalg.svd(m)
-    return vh.conj().T[:, -dim:][:, ::-1]
+    return np.swapaxes(vh.conj(), -1, -2)[..., -dim:][..., ::-1]
 
 
 @dataclass(frozen=True)
@@ -193,18 +201,24 @@ class EigenDecomposition:
         return np.asarray([p.value for p in self.pairs])
 
 
-def _cluster_pairs(m: np.ndarray, groups: List[np.ndarray], scale: float):
-    """(worst residual, eigenpairs, defective) with one null-space basis per cluster."""
+def _cluster_pairs(m: np.ndarray, groups: List[list], scale: float):
+    """(worst residual, eigenpairs, defective) with one null-space basis per cluster.
+
+    Every cluster's basis comes from one SVD of the stacked shifted matrices
+    m - lambda_k I.  A simple root has a one-dimensional eigenspace; a repeated
+    root takes its geometric multiplicity from complete-pivot elimination.
+    """
+    lams = np.asarray([_centre(g) for g in groups])
+    shifted = m - lams[:, None, None] * np.eye(4)
+    bases = _null_space(shifted, 4)
     pairs: List[EigenPair] = []
     defective = False
-    for group in groups:
-        lam = complex(np.mean(group))
-        shifted = m - lam * np.eye(4)
-        geo = 1  # a simple root has a one-dimensional eigenspace: no rank to decide
+    for group, basis, sm in zip(groups, bases, shifted):
+        geo = 1
         if len(group) > 1:
-            geo = max(1, min(4 - complete_pivot_rank(shifted, PIVOT_TOL * scale), len(group)))
+            geo = max(1, min(4 - complete_pivot_rank(sm, PIVOT_TOL * scale), len(group)))
             defective = defective or geo < len(group)
-        for vec in _null_space(shifted, geo).T:
+        for vec in basis[:, :geo].T:
             # Rayleigh refinement helps clustered-but-simple spectra
             mv = m @ vec
             lam_r = complex(np.vdot(vec, mv))
@@ -217,7 +231,9 @@ def eigen_solve(a, tol: float = EIGEN_TOL) -> EigenDecomposition:
 
     Roots are clustered; each cluster contributes its geometric multiplicity
     worth of eigenvectors (null space of A - lambda I): one for a simple root,
-    and for a repeated root as decided by complete-pivot elimination.
+    and for a repeated root as decided by complete-pivot elimination.  The
+    null spaces of all clusters come from one SVD of the stacked matrices
+    A - lambda_k I; each eigenvector then gets its own Rayleigh quotient.
     ``defective`` flags geometric < algebraic anywhere in the spectrum.
 
     A tight clustering can split a multiple root and poison the null spaces.
@@ -232,7 +248,7 @@ def eigen_solve(a, tol: float = EIGEN_TOL) -> EigenDecomposition:
     fine = _cluster(roots, CLUSTER_TOL)
     coarse = _cluster(roots, COARSE_CLUSTER_TOL)
     worst, pairs, defective = _cluster_pairs(m, fine, scale)
-    if len(coarse) != len(fine) or not all(map(np.array_equal, fine, coarse)):
+    if coarse != fine:
         trial = _cluster_pairs(m, coarse, scale)
         if trial[0] < worst:
             worst, pairs, defective = trial

@@ -38,7 +38,7 @@ class NotInGroup(ValueError):
 
 def as_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(4)
-    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+    if not np.isfinite(v).all():  # a complex entry is finite iff both parts are
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -47,7 +47,7 @@ def as_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 

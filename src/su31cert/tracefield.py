@@ -50,7 +50,9 @@ def enumerate_words(
 
     Letters are signed 1-based generator indices ordered -k < ... < -1 < 1 < ... < k;
     words with an adjacent g g^{-1} pair are skipped (free reduction only, no
-    group relations).  Raises BudgetExceeded up front when the count is too big.
+    group relations).  The children of a sorted level, taken in letter order,
+    are already sorted, so no level is re-sorted.  Raises BudgetExceeded up
+    front when the count is too big.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
@@ -71,7 +73,6 @@ def enumerate_words(
                 new_word = word + (letter,)
                 new_mat = mat @ mats[letter]
                 nxt.append((new_word, new_mat))
-        nxt.sort(key=lambda item: item[0])
         for word, mat in nxt:
             yield GroupElement(mat, word, su31_residual(mat))
         frontier = nxt

@@ -16,6 +16,8 @@ from su31cert import (
 )
 from su31cert.hermitian import (
     BoundaryPoint,
+    as_matrix,
+    as_vector,
     heisenberg_inverse,
     matrix_from_json,
     matrix_to_json,
@@ -60,6 +62,21 @@ class TestHermInner:
         assert herm_inner(alpha * z, w) == pytest.approx(
             alpha * herm_inner(z, w), abs=1e-10
         )
+
+
+class TestFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_non_finite_entry_rejected(self, bad, imaginary):
+        z = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+        v = np.ones(4, dtype=complex)
+        v[2] = z
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vector(v)
+        m = np.eye(4, dtype=complex)
+        m[1, 3] = z
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(m)
 
 
 class TestMembership:

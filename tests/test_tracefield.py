@@ -56,6 +56,14 @@ class TestEnumeration:
         lengths = [len(w) for w in first]
         assert lengths == sorted(lengths)
 
+    @pytest.mark.parametrize("n_gens", [2, 3])
+    def test_levels_come_out_sorted(self, n_gens):
+        # children of a sorted level, taken in letter order, need no sort of their own
+        gens = generic_corpus(3, n_gens)
+        words = [e.word for e in enumerate_words(gens, 5)]
+        assert len(words) == reduced_word_count(n_gens, 5)
+        assert words == sorted(words, key=lambda w: (len(w), w))
+
     def test_word_matrix_consistency(self):
         gens = generic_corpus(5)
         for e in enumerate_words(gens, 3):
