@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Median cost of one eigen_solve, classify and normalize_loxodromic call.
+"""Median cost of one enumerated word and of one eigen_solve, classify and normalize_loxodromic call.
 
+enumerate_words is timed per word: one full enumeration up to L of corpus 0 of
+each kind, divided by its word count, with the median over kinds and passes.
 eigen_solve and classify are timed on every word up to L of corpus 0 of each
 kind, and normalize_loxodromic on the real-trace loxodromic words among them
 (the words of the spectral_L5 benchmark at L=5).  Each call is timed alone with
@@ -31,18 +33,31 @@ def median_ms(fn, words, passes: int) -> float:
     return 1e3 * statistics.median(times)
 
 
+def enumeration_ms_per_word(corpora, length: int, passes: int) -> float:
+    times = []
+    for _ in range(passes):
+        for gens in corpora:
+            start = time.perf_counter()
+            count = sum(1 for _ in tracefield.enumerate_words(gens, length))
+            times.append((time.perf_counter() - start) / count)
+    return 1e3 * statistics.median(times)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--length", type=int, default=5)
     parser.add_argument("--passes", type=int, default=3)
     args = parser.parse_args(argv)
 
+    corpora = {kind: corpus.make_corpus(kind, 0) for kind in ("real_form", "product_form", "generic")}
     words, real_trace = [], []
-    for kind in ("real_form", "product_form", "generic"):
-        for w in tracefield.enumerate_words(corpus.make_corpus(kind, 0), args.length):
+    for kind, gens in corpora.items():
+        for w in tracefield.enumerate_words(gens, args.length):
             words.append(w)
             if kind != "generic" and elements.classify(w).tag == elements.LOXODROMIC:
                 real_trace.append(w)
+    ms = enumeration_ms_per_word(corpora.values(), args.length, args.passes)
+    print(f"{'enumerate_words':<21} {ms:.4f} ms per word  ({len(words)} words)")
     rows = (("eigen_solve", words), ("classify", words), ("normalize_loxodromic", real_trace))
     for name, sample in rows:
         ms = median_ms(getattr(elements, name), sample, args.passes)

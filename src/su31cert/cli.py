@@ -2,9 +2,9 @@
 
 Subcommands: classify, element, cartan, trace, identities, gen-corpus.
 Matrix/vector JSON uses [re, im] number pairs; reports are byte-deterministic
-for fixed input and flags.  Exit codes: 0 for a definite verdict,
-2 for Inconclusive, 1 for input errors.  CHK_LOG=debug|info enables logging
-to stderr; at info, classify logs one line per stage record.
+for fixed input and flags.  Exit codes: 0 for a definite verdict, 2 for
+Inconclusive or an unclassifiable element, 1 for input errors.  CHK_LOG=debug|info
+enables logging to stderr; at info, classify logs one line per stage record.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .hermitian import (
 from .cartan import BoundaryTriple, DegenerateTriple, cartan_invariant, triple_geometry
 from .elements import (
     LOXODROMIC,
+    AmbiguousClassification,
     IllConditioned,
     NotLoxodromic,
     NotRealTrace,
@@ -109,7 +110,11 @@ def cmd_element(args) -> int:
         g = GroupElement.certify(m, tol=1e-8)
     except (ValueError, NotInGroup) as exc:
         raise InputError(str(exc)) from exc
-    kind = classify(g)
+    try:
+        kind = classify(g)
+    except (AmbiguousClassification, IllConditioned, ValueError) as exc:
+        _emit({"classification_error": str(exc)}, args.out)
+        return 2
     payload = {"type": kind.tag}
     if kind.tag == LOXODROMIC:
         try:

@@ -301,6 +301,14 @@ def classify(a, tol: float = AnalysisConfig.tol_spec) -> ElementType:
     return ElementType(ELLIPTIC, [], interior_witness=witness)
 
 
+def is_loxodromic(a, tol: float = AnalysisConfig.tol_spec) -> bool:
+    """classify's loxodromic rule alone, with no fixed points built; False if ill-conditioned."""
+    try:
+        return bool(np.abs(eigen_solve(a).values).max() > 1.0 + tol)
+    except IllConditioned:
+        return False
+
+
 @dataclass(frozen=True)
 class LoxodromicNormalForm:
     u: float

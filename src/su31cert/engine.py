@@ -48,12 +48,11 @@ from .hermitian import (
     su31_residual,
 )
 from .elements import (
-    LOXODROMIC,
-    AmbiguousClassification,
     IllConditioned,
     NotLoxodromic,
     NotRealTrace,
-    classify,
+    classify,  # noqa: F401  (perfbench's traced run wraps engine.classify)
+    is_loxodromic,
     normalize_loxodromic,
 )
 from .tracefield import (
@@ -158,13 +157,6 @@ class RealSpanBasis:
     dim: int
 
 
-def _is_loxodromic(element: GroupElement, tol: float) -> bool:
-    try:
-        return classify(element, tol).tag == LOXODROMIC
-    except (AmbiguousClassification, IllConditioned):
-        return False
-
-
 def find_loxodromic(
     gens: Sequence[GroupElement],
     max_length: int,
@@ -173,7 +165,7 @@ def find_loxodromic(
 ) -> GroupElement:
     """First word (enumeration order) classified loxodromic."""
     for element in enumerate_words(gens, max_length, budget):
-        if _is_loxodromic(element, tol):
+        if is_loxodromic(element, tol):
             return element
     raise StageFailure("find_loxodromic", "no loxodromic word within the budget")
 
@@ -183,8 +175,7 @@ def normalize_group(gens: Sequence[GroupElement], a_lox: GroupElement):
     nf = normalize_loxodromic(a_lox)
     c = nf.conjugator.entries
     c_inv = su31_inverse(c)
-    conj = [(g.word, c_inv @ g.entries @ c) for g in gens]
-    return [GroupElement(m, word, su31_residual(m)) for word, m in conj], nf
+    return [GroupElement(c_inv @ g.entries @ c, g.word) for g in gens], nf
 
 
 def find_branch_witness(
@@ -202,7 +193,7 @@ def find_branch_witness(
     """
     for element in enumerate_words(gens, max_length, budget):
         m = element.entries
-        if abs(m[0, 3] * m[3, 0]) > tol_corner * norm_max(m) and _is_loxodromic(element, tol_spec):
+        if abs(m[0, 3] * m[3, 0]) > tol_corner * norm_max(m) and is_loxodromic(element, tol_spec):
             return element
     raise StageFailure(
         "find_branch_witness",
@@ -374,7 +365,7 @@ def _construct(gens: Sequence[GroupElement], cfg: AnalysisConfig, stage) -> Clas
         stage("find_loxodromic", "found", None)
 
         norm_gens, nf = normalize_group(gens, a_lox)
-        stage("normalize_group", "ok", float(nf.conjugator.membership_residual))
+        stage("normalize_group", "ok", float(su31_residual(nf.conjugator.entries)))
 
         b0 = find_branch_witness(
             norm_gens, cfg.max_word_length, cfg.tol_corner, cfg.tol_spec, cfg.budget
@@ -415,9 +406,7 @@ def _construct(gens: Sequence[GroupElement], cfg: AnalysisConfig, stage) -> Clas
     except StageFailure as exc:
         stage(exc.stage, "failed", None)
         return ClassificationResult(INCONCLUSIVE, reason=exc.reason)
-    except (
-        AmbiguousClassification, IllConditioned, NotInGroup, NotLoxodromic, NotRealTrace
-    ) as exc:
+    except (IllConditioned, NotInGroup, NotLoxodromic, NotRealTrace) as exc:
         stage("spectral", "failed", None)
         return ClassificationResult(INCONCLUSIVE, reason=str(exc))
 

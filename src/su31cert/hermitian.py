@@ -87,15 +87,16 @@ def su31_inverse(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A certified SU(3,1) matrix together with its word in the generators.
+    """An SU(3,1) matrix together with its word in the generators.
 
     ``word`` is a tuple of signed 1-based generator indices (+i for g_i,
     -i for g_i^{-1}); the empty tuple marks a generator or ad-hoc element.
+    ``certify`` is the membership decision; products, inverses and enumerated
+    words carry no residual (``su31_residual(g.entries)`` measures one).
     """
 
     entries: np.ndarray
     word: tuple = ()
-    membership_residual: float = 0.0
 
     @classmethod
     def certify(cls, m, word: tuple = (), tol: float = AnalysisConfig.tol_form) -> "GroupElement":
@@ -104,18 +105,17 @@ class GroupElement:
         r = su31_residual(m)
         if r > tol:
             raise NotInGroup(r, tol)
-        return cls(m, tuple(word), r)
+        return cls(m, tuple(word))
 
     def inverse(self) -> "GroupElement":
         inv = su31_inverse(self.entries)
         inv.flags.writeable = False
-        return GroupElement(inv, tuple(-i for i in reversed(self.word)),
-                            su31_residual(inv))
+        return GroupElement(inv, tuple(-i for i in reversed(self.word)))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         prod = self.entries @ other.entries
         prod.flags.writeable = False
-        return GroupElement(prod, self.word + other.word, su31_residual(prod))
+        return GroupElement(prod, self.word + other.word)
 
     @property
     def trace(self) -> complex:

@@ -14,7 +14,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import AnalysisConfig
-from .hermitian import GroupElement, matrix_entries, su31_residual
+from .hermitian import GroupElement, matrix_entries, su31_inverse
+from .hermitian import su31_residual  # noqa: F401  (perfbench traces tracefield.su31_residual)
 
 REAL_PAIR = "real_pair"
 IMAGINARY_PAIR = "imaginary_pair"
@@ -62,7 +63,7 @@ def enumerate_words(
     k = len(gens)
     letters = sorted(list(range(-k, 0)) + list(range(1, k + 1)))
     mats = {i + 1: g.entries for i, g in enumerate(gens)}
-    mats.update({-(i + 1): g.inverse().entries for i, g in enumerate(gens)})
+    mats.update({-(i + 1): su31_inverse(g.entries) for i, g in enumerate(gens)})
     frontier = [((), np.eye(4, dtype=complex))]
     for _ in range(max_length):
         nxt = []
@@ -74,7 +75,7 @@ def enumerate_words(
                 new_mat = mat @ mats[letter]
                 nxt.append((new_word, new_mat))
         for word, mat in nxt:
-            yield GroupElement(mat, word, su31_residual(mat))
+            yield GroupElement(mat, word)
         frontier = nxt
 
 

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from su31cert import GroupElement, cli, engine, normalize_loxodromic
+from su31cert.corpus import expm, random_so31_algebra, random_su31
 
 
 def non_member_normalization(a):
@@ -14,3 +16,27 @@ def failing_normalization(monkeypatch):
     """normalize_loxodromic, as the engine and the CLI call it, raises NotInGroup."""
     monkeypatch.setattr(engine, "normalize_loxodromic", non_member_normalization)
     monkeypatch.setattr(cli, "normalize_loxodromic", non_member_normalization)
+
+
+def _so21_group(seed):
+    """Two generators of SO(2,1) (fixing e3), conjugated by a random SU(3,1) element.
+
+    Such a group stabilizes a totally geodesic real plane, so its real span is
+    three-dimensional and no real-form conjugator is constructed.  Some of its
+    words are elliptic with eigenvalues e^{+-i phi}, 1, 1.
+    """
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(2):
+        x = random_so31_algebra(rng, 0.8)
+        x[2, :] = 0
+        x[:, 2] = 0
+        mats.append(expm(x))
+    p = random_su31(rng).entries
+    return [GroupElement.certify(p @ m @ np.linalg.inv(p)) for m in mats]
+
+
+@pytest.fixture
+def so21_group():
+    """Builder of the SO(2,1) test groups: seed -> two generators."""
+    return _so21_group

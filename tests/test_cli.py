@@ -251,3 +251,22 @@ class TestErrorPaths:
         data = json.loads(out)
         assert data["type"] == "loxodromic"
         assert "membership residual" in data["normal_form_error"]
+
+
+class TestRealPlaneStabilizer:
+    """Seed 2 of the SO(2,1) family: word (2, 2) has eigenvalues e^{+-i phi}, 1, 1."""
+
+    def test_classify_exits_two_with_a_verdict(self, tmp_path, capsys, so21_group):
+        f = tmp_path / "gens.json"
+        write_generators(f, so21_group(2))
+        code, out, _ = run(capsys, "classify", "--generators", str(f))
+        assert code == 2
+        assert json.loads(out)["verdict"] == "inconclusive"
+
+    def test_element_reports_a_classification_error(self, tmp_path, capsys, so21_group):
+        _, g2 = so21_group(2)
+        f = tmp_path / "w.json"
+        f.write_text(json.dumps(matrix_to_json((g2 @ g2).entries)))
+        code, out, _ = run(capsys, "element", "--matrix", str(f))
+        assert code == 2
+        assert "not J-null" in json.loads(out)["classification_error"]

@@ -103,7 +103,7 @@ class TestDetectCase:
         m = np.eye(4, dtype=complex)
         m[0, 3] = d
         m[3, 0] = q
-        return GroupElement(m, (), 0.0)  # synthetic, corners only matter here
+        return GroupElement(m, ())  # synthetic, corners only matter here
 
     def test_imaginary_corners(self):
         assert detect_case(self._with_corners(2j, -0.5j)) == CASE_I
@@ -410,3 +410,15 @@ class TestConstructionFirst:
 
     def test_one_certificate_tolerance(self):
         assert "tol_cert" not in AnalysisConfig().to_json()
+
+
+class TestRealPlaneStabilizer:
+    """Groups in a conjugate of SO(2,1): some words are elliptic with eigenvalues
+    e^{+-i phi}, 1, 1, on which building boundary fixed points fails."""
+
+    @pytest.mark.parametrize("length", [4, 7])
+    def test_every_seed_is_inconclusive_without_an_exception(self, so21_group, length):
+        cfg = AnalysisConfig(max_word_length=length)
+        for seed in range(40):
+            res = classify_group(so21_group(seed), config=cfg)
+            assert res.verdict == INCONCLUSIVE, (seed, res.verdict, res.reason)

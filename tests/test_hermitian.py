@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +25,12 @@ from su31cert.hermitian import (
     matrix_to_json,
     proportionality_residual,
     su31_inverse,
+    su31_residual,
     vector_from_json,
     vector_to_json,
 )
-from su31cert.corpus import random_su31
+from su31cert import engine, hermitian, tracefield
+from su31cert.corpus import random_su31, real_form_corpus
 
 E1 = np.array([1, 0, 0, 0], dtype=complex)
 E2 = np.array([0, 1, 0, 0], dtype=complex)
@@ -106,9 +110,43 @@ class TestMembership:
         for _ in range(20):
             a = random_su31(rng)
             b = random_su31(rng)
-            base = max(a.membership_residual, b.membership_residual, 1e-14)
-            assert (a @ b).membership_residual <= 10 * base * 10
-            assert a.inverse().membership_residual <= 10 * base * 10
+            base = max(su31_residual(a.entries), su31_residual(b.entries), 1e-14)
+            assert su31_residual((a @ b).entries) <= 10 * base * 10
+            assert su31_residual(a.inverse().entries) <= 10 * base * 10
+
+
+class TestResidualOnlyAtCertify:
+    """Membership is decided once, by GroupElement.certify; derived elements carry no residual."""
+
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        calls = [0]
+
+        def counting(m):
+            calls[0] += 1
+            return su31_residual(m)
+
+        for module in (hermitian, tracefield, engine):
+            monkeypatch.setattr(module, "su31_residual", counting)
+        return calls
+
+    def test_fields_are_entries_and_word(self):
+        assert [f.name for f in dataclasses.fields(GroupElement)] == ["entries", "word"]
+
+    def test_enumeration_and_products_compute_no_residual(self, residual_calls):
+        g, h = real_form_corpus(0)
+        residual_calls[0] = 0
+        words = list(tracefield.enumerate_words([g, h], 4))
+        g.inverse()
+        g @ h
+        assert len(words) == 160
+        assert residual_calls[0] == 0
+
+    def test_certify_still_decides_membership(self, residual_calls):
+        # also shows the counter sees the calls, so the zero above is no miss
+        with pytest.raises(NotInGroup):
+            GroupElement.certify(1.01 * np.eye(4))
+        assert residual_calls[0] == 1
 
 
 class TestSiegel:
