@@ -9,8 +9,9 @@ that its relative certificate is 0.9 and 1.35 times the certificate bound
 For each input the script prints
 
 - rel cert: engine.relative_certificate of the generators conjugated by the
-  D that the construction builds when its bound is lifted (nan when a stage
-  fails before D is built);
+  D that classify_group builds when its bound is lifted (tol_real = 1), from
+  the null spaces where they give the shape and from the paper's
+  construction otherwise (nan when neither builds a D);
 - im4: the largest |Im tr| over the reduced words up to length 4;
 - scan: the trace-reality scan at tol_real over all reduced words up to
   L = 4, 7, 8 ("real" or "not");

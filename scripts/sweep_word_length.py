@@ -4,11 +4,12 @@
 For each word-length bound L the script classifies a batch of seeded
 real-form and product-form corpora and reports the size of the word tree
 (the reduced words up to L), the words the pipeline actually drew from it
-per classify call, and the wall time per run.  A positive verdict is
-certified at the generators and ends the call, so the words walked stay flat
-while the tree grows; only a failed construction scans the tree for a
-witness.  The worst certificate is printed as a check: it is taken at the
-generators, so it is the same at every L.
+per classify call, and the wall time per call (the corpora are built before
+the clock starts).  A positive verdict is certified at the generators and
+ends the call, so it draws no word at any L while the tree grows; only a
+failed construction scans the tree for a witness.  The worst certificate is
+printed as a check: it is taken at the generators, so it is the same at
+every L.
 
 Usage:
     python3 scripts/sweep_word_length.py --seeds 10 --lengths 2 3 4 5 7
@@ -45,16 +46,16 @@ def main(argv=None) -> int:
     )
     for length in args.lengths:
         for kind, make in (("real_form", real_form_corpus), ("product_form", product_form_corpus)):
+            groups = [make(seed) for seed in range(args.seeds)]
             worst = 0.0
             walked[0] = 0
             start = time.time()
-            for seed in range(args.seeds):
-                gens = make(seed)
+            for gens in groups:
                 result = classify_group(gens, length)
                 worst = max(worst, result.certificate)
             runs = max(args.seeds, 1)
             per_run = (time.time() - start) / runs
-            words = reduced_word_count(len(gens), length)
+            words = reduced_word_count(2, length)
             print(
                 f"{length:>3} {kind:>12} {words:>11} {walked[0] / runs:>11.1f} "
                 f"{1e3 * per_run:>8.2f} {worst:>12.3e}"

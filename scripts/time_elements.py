@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Median cost of one enumerated word and of one eigen_solve, classify and normalize_loxodromic call.
+"""Median cost of one enumerated word, of one element call and of one group classification.
 
 enumerate_words is timed per word: one full enumeration up to L of corpus 0 of
 each kind, divided by its word count, with the median over kinds and passes.
 eigen_solve and classify are timed on every word up to L of corpus 0 of each
 kind, and normalize_loxodromic on the real-trace loxodromic words among them
-(the words of the spectral_L5 benchmark at L=5).  Each call is timed alone with
-time.perf_counter over --passes passes; a call that raises counts its time.
+(the words of the spectral_L5 benchmark at L=5).  classify_group is timed on
+corpora 0-9 of each kind at the lengths of the certify_L7 and reject_L8
+benchmarks (7, and 8 for generic), and the null-space step alone on the same
+corpora.  Each call is timed alone with time.perf_counter over --passes
+passes; a call that raises counts its time.
 
 Usage:
     python3 scripts/time_elements.py --length 5 --passes 3
@@ -17,7 +20,15 @@ import statistics
 import sys
 import time
 
-from su31cert import corpus, elements, tracefield
+from su31cert import corpus, elements, engine, tracefield
+from su31cert.config import AnalysisConfig
+
+GROUP_LENGTHS = {"real_form": 7, "product_form": 7, "generic": 8}
+GROUP_SEEDS = range(10)
+
+
+def no_record(*record):
+    """A stage callback that keeps nothing."""
 
 
 def median_ms(fn, words, passes: int) -> float:
@@ -62,6 +73,23 @@ def main(argv=None) -> int:
     for name, sample in rows:
         ms = median_ms(getattr(elements, name), sample, args.passes)
         print(f"{name:<21} {ms:.3f} ms  ({len(sample)} words)")
+    groups = {kind: [corpus.make_corpus(kind, s) for s in GROUP_SEEDS] for kind in GROUP_LENGTHS}
+    for kind, length in GROUP_LENGTHS.items():
+        config = AnalysisConfig(max_word_length=length)
+
+        def classify_group(gens):
+            return engine.classify_group(gens, config=config)
+
+        ms = median_ms(classify_group, groups[kind], args.passes)
+        print(f"{'classify_group':<21} {ms:.3f} ms  ({kind}, L={length}, corpora 0-9)")
+    bound = engine.certificate_bound()
+
+    def null_space_construct(gens):
+        return engine.null_space_construct(gens, bound, no_record)
+
+    for kind, sample in groups.items():
+        ms = median_ms(null_space_construct, sample, args.passes)
+        print(f"{'null_space_construct':<21} {ms:.3f} ms  ({kind}, corpora 0-9)")
     return 0
 
 

@@ -1,8 +1,21 @@
 """Group-level certification pipeline.
 
-Stages: find a loxodromic -> diagonalize it (move its axis to the standard
-one) -> find a second loxodromic whose corner product d*q is structurally
-nonzero -> branch on whether d, q are purely imaginary (block
+The null-space step comes first.  If D g D^{-1} is real for every generator
+g, then M = conj(D)^{-1} D solves conj(g) M = M g; if the group lies in a
+conjugate of SU(1,1)xSU(2), the projections onto its two invariant planes
+commute with it.  Both are null spaces of linear systems in the 16 entries
+of M over the generators and their inverses, so no word, loxodromic or word
+length enters.  Their dimensions (antilinear, commutant) pick the shape:
+antilinear dimension 1 is the real form, D from D0 = I + mu M and a real
+congruence of D0's form to J; (2, 2) with planes of J-signature (1,1) and
+(2,0) is the product form, D from J-orthonormal frames of the planes; (0, 1)
+is neither real form.  A D built here and certified at the generators ends
+the call without drawing a word.
+
+Every other shape, and a certificate over its bound, runs the paper's
+construction: find a loxodromic -> diagonalize it (move its axis to the
+standard one) -> find a second loxodromic whose corner product d*q is
+structurally nonzero -> branch on whether d, q are purely imaginary (block
 SU(1,1)xSU(2) case) or real (totally real span / SO(3,1) case) -> construct
 the conjugator D -> certify it at the input generators.  A certified D ends
 the call: every trace of a group conjugate into either real form is real, so
@@ -20,12 +33,13 @@ amplification so that words up to length 4 stay within tol_real, but a
 group within the bound yet not exactly real can have longer words with
 |Im tr| above tol_real.
 
-Only when the construction fails (a stage failure, a spectral exception, an
-ambiguous case or a certificate over its bound) are the reduced words up to
+Only when no D is certified (dimensions (0, 1), or a failure of the paper's
+construction: a stage failure, a spectral exception, an ambiguous case or a
+certificate over its bound) are the reduced words up to
 the length bound scanned, stopping at the first one with |Im tr| > tol_real.
 That word is the not_real_trace witness and |Im tr| of it is the
 certificate, re-checkable from the generators and the word alone.  Without a
-witness the verdict is Inconclusive with the construction's reason; the
+witness the verdict is Inconclusive with the last construction's reason; the
 pipeline never claims more than its residuals certify.
 """
 
@@ -62,6 +76,7 @@ from .tracefield import (
     BudgetExceeded,
     enumerate_words,
     lemma22_branch,
+    reduced_word_count,
     trace_reality_report,  # noqa: F401  (perfbench's traced run wraps engine.trace_reality_report)
 )
 
@@ -76,22 +91,29 @@ CASE_AMBIGUOUS = "ambiguous"
 
 SPAN_IMAG_TOL = 1e-7   # |Im <v_i, v_j>| / scale^2 above this is no rounding of a Gram entry
 SPAN_RANK_TOL = 1e-9   # singular-value ratios below this are rounding, not a new direction
+NULL_TOL = 1e-9        # singular values of a system below this share of the largest are null
+SHAPE_TOL = 1e-6       # M conj(M) or C^2 further than this from a scalar leaves the shape undecided
 CONJUGATOR_TOL = 1e-8  # D's membership bound; Gram eigenvalues nearer 0 make D ill-conditioned
 # The certificate bound is tol_real * CERT_SHARE, relative to max(1, |D g D^-1|_max).
 # A relative deviation of the generators from the target form reaches |Im tr|
-# of some word of length <= 4 up to 414 times larger (the largest ratio over
-# real_form/product_form seeds 0-49 with three perturbations each, and over
-# scripts/sweep_near_real.py), so a bound of tol_real / 414 keeps a certified
-# group within tol_real up to length 4; CERT_SHARE is that with a 20% margin.
-# The clean side is narrow: over seeds 0-1199 the largest relative
-# certificate is 3.6e-12 except real_form corpus 600 at 2.1e-11, whose
-# ill-conditioned D lifts the rounding above the bound (inconclusive).
-CERT_SHARE = 2e-3
+# of some word of length <= 4 up to 525 times larger (the largest ratio in
+# scripts/sweep_near_real.txt, at the null-space step's conjugators), so a
+# bound of tol_real / 525 keeps a certified group within tol_real up to
+# length 4; CERT_SHARE is that with a 20% margin (1/630), rounded down.
+# Clean inputs sit far below it: over seeds 0-1199 of both kinds the largest
+# relative certificate is 1.1e-14.
+CERT_SHARE = 1.5e-3
 
 # True on the corner + middle block pattern of SU(1,1)xSU(2)
 _BLOCK = np.zeros((4, 4), dtype=bool)
 _BLOCK[np.ix_([0, 3], [0, 3])] = _BLOCK[1:3, 1:3] = True
 _SWAP2 = np.array([[0, 1], [1, 0]], dtype=complex)
+# The unit factors mu tried in D0 = I + mu M
+_UNIT_MU = np.exp(0.5j * np.pi * np.arange(4))
+# Takes diag(-1, 1, 1, 1) to J: columns 1 and 4 are a null pair with <e1, e4> = 1
+_NULL_CONE = np.array(
+    [[1, 0, 0, -1], [0, np.sqrt(2), 0, 0], [0, 0, np.sqrt(2), 0], [1, 0, 0, 1]]
+) / np.sqrt(2)
 
 
 class StageFailure(RuntimeError):
@@ -208,15 +230,26 @@ def detect_case(b0: GroupElement, tol_rel: float = AnalysisConfig.tol_rel) -> st
     return {IMAGINARY_PAIR: CASE_I, REAL_PAIR: CASE_II}.get(branch, CASE_AMBIGUOUS)
 
 
-def _case1_word_residual(m: np.ndarray) -> float:
-    off = norm_max(m[~_BLOCK])
-    corner = m[np.ix_([0, 3], [0, 3])]
-    middle = m[1:3, 1:3]
-    corner_form = norm_max(corner.conj().T @ _SWAP2 @ corner - _SWAP2)
-    corner_det = abs(np.linalg.det(corner) - 1.0)
-    middle_unitary = norm_max(middle.conj().T @ middle - np.eye(2))
-    middle_det = abs(np.linalg.det(middle) - 1.0)
-    return max(off, corner_form, corner_det, middle_unitary, middle_det)
+def _case1_word_residual(m: np.ndarray):
+    """Block-form residual of m, or of each matrix of a stack m[..., 4, 4]."""
+    def entry_max(x):
+        return np.abs(x).max(axis=(-2, -1))
+
+    def adjoint(x):
+        return np.swapaxes(x.conj(), -1, -2)
+
+    corner = m[..., [0, 3], :][..., [0, 3]]
+    middle = m[..., 1:3, 1:3]
+    return np.max(
+        [
+            entry_max(np.where(_BLOCK, 0, m)),
+            entry_max(adjoint(corner) @ _SWAP2 @ corner - _SWAP2),
+            np.abs(np.linalg.det(corner) - 1.0),
+            entry_max(adjoint(middle) @ middle - np.eye(2)),
+            np.abs(np.linalg.det(middle) - 1.0),
+        ],
+        axis=0,
+    )
 
 
 def _scaled(residual: float, m: np.ndarray) -> float:
@@ -281,13 +314,19 @@ def case2_build_real_span(words: Sequence[GroupElement]) -> RealSpanBasis:
 def case2_conjugator(basis: RealSpanBasis) -> GroupElement:
     """D with D M D^{-1} real for every group element M stabilizing the span.
 
-    W holds the basis as columns; W* J W is real symmetric of signature
-    (3,1).  A real congruence R with (WR)* J (WR) = J is assembled from the
-    symmetric eigendecomposition, and D = (WR)^{-1} phase-scaled to det 1.
+    W holds the basis as columns; W* J W is real symmetric of signature (3,1).
     """
     if basis.dim != 4:
         raise RankDeficient(basis.dim, basis.vectors)
-    w = np.column_stack(basis.vectors)
+    return _real_congruence(np.column_stack(basis.vectors))
+
+
+def _real_congruence(w: np.ndarray) -> GroupElement:
+    """D = (W R)^{-1} with R real and (W R)* J (W R) = J, for W* J W real of signature (3,1).
+
+    R is assembled from the symmetric eigendecomposition of the Gram matrix, so
+    D M D^{-1} is real wherever W^{-1} M W is.
+    """
     gram = w.conj().T @ J @ w
     gram = 0.5 * (gram + gram.conj().T).real
     vals, q = np.linalg.eigh(gram)
@@ -296,22 +335,19 @@ def case2_conjugator(basis: RealSpanBasis) -> GroupElement:
     if vals[0] > -tol or vals[1] < tol or (vals[1:] <= 0).any():
         reason = f"Gram eigenvalues {np.round(vals, 6).tolist()} are not signature (3,1)"
         raise StageFailure("case2_conjugator", reason)
-    r0 = q @ np.diag(1.0 / np.sqrt(np.abs(vals)))
-    # r0^T gram r0 = diag(-1, 1, 1, 1); map that to J via a null-cone basis
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    p = np.array(
-        [
-            [inv_sqrt2, 0, 0, -inv_sqrt2],
-            [0, 1, 0, 0],
-            [0, 0, 1, 0],
-            [inv_sqrt2, 0, 0, inv_sqrt2],
-        ]
-    )
-    wr = w @ (r0 @ p)
+    return _frame_conjugator(w @ (q / np.sqrt(np.abs(vals))))
+
+
+def _frame_conjugator(f: np.ndarray) -> GroupElement:
+    """F^{-1} phase-scaled to det 1, for J-orthogonal columns f of J-norms -1, 1, 1, 1.
+
+    F has columns (f1 + f4)/sqrt 2, f2, f3, (f4 - f1)/sqrt 2: the first and
+    last are null with <F e1, F e4> = 1, so F* J F = J.
+    """
+    wr = f @ _NULL_CONE
     det = np.linalg.det(wr)
     wr = wr * np.exp(-1j * np.angle(det) / 4.0)
-    d = su31_inverse(wr)
-    return GroupElement.certify(d, tol=CONJUGATOR_TOL)
+    return GroupElement.certify(su31_inverse(wr), tol=CONJUGATOR_TOL)
 
 
 def conjugated_generators(d: GroupElement, gens: Sequence[GroupElement]) -> List[GroupElement]:
@@ -325,16 +361,26 @@ def conjugated_generators(d: GroupElement, gens: Sequence[GroupElement]) -> List
     ]
 
 
+def _certificate(verdict: str, letters: Sequence[GroupElement]):
+    """(absolute, relative) certificate: the largest target-shape residual over the letters,
+    as it is and relative to each letter's max(1, |m|_max).
+    """
+    mats = np.array([e.entries for e in letters])
+    if verdict == COMPACT_PRODUCT_FORM:
+        residuals = _case1_word_residual(mats)
+    else:
+        residuals = np.abs(mats.imag).max(axis=(1, 2))
+    scales = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    return float(residuals.max()), float((residuals / scales).max())
+
+
 def relative_certificate(verdict: str, letters: Sequence[GroupElement]) -> float:
     """Largest target-shape residual of the conjugated generators, each relative to max(1, |m|_max).
 
     letters is conjugated_generators(D, gens); this is the quantity
     certificate_bound() limits for a positive verdict.
     """
-    def shape(m):
-        return _case1_word_residual(m) if verdict == COMPACT_PRODUCT_FORM else norm_max(m.imag)
-
-    return max(_scaled(shape(e.entries), e.entries) for e in letters)
+    return _certificate(verdict, letters)[1]
 
 
 def find_trace_witness(
@@ -354,10 +400,121 @@ def find_trace_witness(
     return None
 
 
-def _construct(gens: Sequence[GroupElement], cfg: AnalysisConfig, stage) -> ClassificationResult:
-    """The conjugator and its certificate, or Inconclusive with the reason it failed.
+def intertwiner_systems(gens: Sequence[GroupElement]) -> np.ndarray:
+    """The antilinear and the commutant system in row-major vec(M), as a (2, 32k, 16) stack.
 
-    BudgetExceeded propagates: the witness scan would exceed the same budget.
+    conj(g) M = M g has rows kron(conj(g), I) - kron(I, g^T) and g M = M g has
+    rows kron(g, I) - kron(I, g^T), one 16-row block for each generator and
+    each inverse, scaled by 1/max(1, |g|_max).
+    """
+    mats = [m for g in gens for m in (g.entries, su31_inverse(g.entries))]
+    mats = np.array(mats).reshape(-1, 4, 4)
+    mats = mats / np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))[:, None, None]
+    eye = np.eye(4)
+    right = eye[None, :, None, :, None] * mats.transpose(0, 2, 1)[:, None, :, None, :]
+    left = np.stack([mats.conj(), mats])[:, :, :, None, :, None] * eye[:, None, :]
+    return (left - right).reshape(2, -1, 16)
+
+
+def _null_basis(system: np.ndarray, dim: int) -> np.ndarray:
+    """The dim right singular vectors of smallest singular value, as 4x4 matrices."""
+    return np.linalg.svd(system, full_matrices=False)[2][-dim:].conj().reshape(-1, 4, 4)
+
+
+def _real_form_conjugator(m: np.ndarray) -> Optional[GroupElement]:
+    """D with D g D^{-1} real for every g with conj(g) M = M g, or None if M is no real structure.
+
+    Scaled so that M conj(M) = I, M = conj(D0)^{-1} D0 up to a unit factor for
+    D0 = I + mu M with any unit mu; of four, the mu that keeps D0 best
+    conditioned is taken.  D0 g D0^{-1} is real and preserves the real form
+    D0^{-*} J D0^{-1}, which _real_congruence takes to J.
+    """
+    c = np.trace(m @ m.conj()) / 4.0
+    if c.real <= 0 or abs(c.imag) > SHAPE_TOL * c.real:
+        return None
+    d0 = np.eye(4) + _UNIT_MU[:, None, None] * (m / np.sqrt(c.real))
+    d0 = d0[np.argmin(np.linalg.cond(d0))]
+    return _real_congruence(np.linalg.inv(d0))
+
+
+def _product_form_conjugator(commutant: np.ndarray) -> Optional[GroupElement]:
+    """D taking the two invariant planes to the blocks of SU(1,1)xSU(2), or None.
+
+    Of the two commutant elements, the one furthest from a scalar is taken
+    trace-free: C = a (P - (I - P)) for the projection P onto one plane, so
+    C^2 = a^2 I exactly when the planes are 2-dimensional.  The plane of
+    J-signature (1,1) goes to e1, e4 and the one of signature (2,0) to e2, e3.
+    """
+    c = commutant - np.trace(commutant, axis1=1, axis2=2)[:, None, None] / 4.0 * np.eye(4)
+    c = c[np.argmax(np.abs(c).max(axis=(1, 2)))]
+    a2 = np.trace(c @ c) / 4.0
+    if norm_max(c @ c - a2 * np.eye(4)) > SHAPE_TOL * abs(a2):
+        return None
+    proj = 0.5 * (np.eye(4) + c / np.sqrt(a2))
+    planes = np.linalg.svd(np.stack([proj, np.eye(4) - proj]))[0][:, :, :2]
+    grams = planes.conj().transpose(0, 2, 1) @ J @ planes
+    vals, vecs = np.linalg.eigh(0.5 * (grams + grams.conj().transpose(0, 2, 1)))
+    tol = CONJUGATOR_TOL * np.abs(vals).max()
+    lorentz = vals[:, 0] < -tol
+    if (np.abs(vals) <= tol).any() or lorentz.sum() != 1:
+        return None
+    frames = planes @ (vecs / np.sqrt(np.abs(vals))[:, None, :])
+    (y, x), (x2, x3) = frames[np.argmax(lorentz)].T, frames[np.argmin(lorentz)].T
+    return _frame_conjugator(np.column_stack([y, x2, x3, x]))
+
+
+_NO_INTERTWINER = ClassificationResult(
+    INCONCLUSIVE,
+    reason="no antilinear intertwiner, so the group is in neither real form, "
+    "but no word up to the length bound has non-real trace",
+)
+
+
+def null_space_construct(
+    gens: Sequence[GroupElement], bound: float, stage
+) -> Optional[ClassificationResult]:
+    """The conjugator read off the intertwiner null spaces, certified at the generators.
+
+    Dimension 1 of the antilinear null space is the real form, dimensions
+    (2, 2) the product form.  Dimensions (0, 1) mean the group is in neither
+    real form at NULL_TOL: _NO_INTERTWINER, pending a witness word.  None when
+    the null spaces leave the shape undecided or the certificate is over its
+    bound.
+    """
+    systems = intertwiner_systems(gens)
+    sv = np.linalg.svd(systems, compute_uv=False)
+    rel = sv / np.maximum(sv[:, :1], np.finfo(float).tiny)
+    null = rel <= NULL_TOL
+    anti, comm = (int(n) for n in null.sum(axis=1))
+    edge = float(np.max(rel, where=null, initial=0.0))
+    stage("null_space", f"dims ({anti}, {comm})", edge, NULL_TOL)
+    if (anti, comm) == (0, 1):
+        return _NO_INTERTWINER
+    d = None
+    try:
+        if anti == 1:
+            verdict = REAL_FORM
+            d = _real_form_conjugator(_null_basis(systems[0], 1)[0])
+        elif (anti, comm) == (2, 2):
+            verdict = COMPACT_PRODUCT_FORM
+            d = _product_form_conjugator(_null_basis(systems[1], 2))
+    except (StageFailure, NotInGroup, np.linalg.LinAlgError):
+        pass
+    if d is None:
+        stage("null_space_conjugator", "undecided", None)
+        return None
+    stage("null_space_conjugator", verdict, float(su31_residual(d.entries)), CONJUGATOR_TOL)
+    certificate, relative = _certificate(verdict, conjugated_generators(d, gens))
+    stage("certificate", "ok" if relative <= bound else "above_bound", relative, bound)
+    if relative > bound:
+        return None
+    return ClassificationResult(verdict, conjugator=d, certificate=certificate)
+
+
+def _construct(gens: Sequence[GroupElement], cfg: AnalysisConfig, stage) -> ClassificationResult:
+    """The paper's conjugator and its certificate, or Inconclusive with the reason it failed.
+
+    The caller has checked the word count against the budget.
     """
     bound = certificate_bound(cfg.tol_real)
     try:
@@ -392,10 +549,9 @@ def _construct(gens: Sequence[GroupElement], cfg: AnalysisConfig, stage) -> Clas
             )
             stage("case2_build_real_span", f"dim {basis.dim}", None)
             verdict, conjugator = REAL_FORM, case2_conjugator(basis) @ c_inv
-            letters = conjugated_generators(conjugator, gens)
-            certificate = max(norm_max(e.entries.imag) for e in letters)
+            certificate, relative = _certificate(verdict, conjugated_generators(conjugator, gens))
             stage("case2_conjugator", "ok", certificate)
-            if relative_certificate(verdict, letters) > bound:
+            if relative > bound:
                 return ClassificationResult(
                     INCONCLUSIVE,
                     reason=f"real-form certificate {certificate:.3e} above the bound "
@@ -418,11 +574,16 @@ def classify_group(
 ) -> ClassificationResult:
     """Full pipeline; every failure path yields an Inconclusive verdict.
 
-    Construction first: a certified conjugator ends the call, having drawn only
-    the few words its stages need from the word tree, so a positive verdict does
-    not depend on the length bound.  Only when the construction fails does the trace scan
-    look for a witness word; without one the verdict is Inconclusive with the
-    construction's reason, and the failed stage is the last record.
+    A word count over the budget is Inconclusive before anything runs.  Then the
+    null-space step, and the paper's construction where it leaves the shape
+    undecided or its certificate over the bound: a certified conjugator ends the
+    call, so a positive verdict does not depend on the length bound.  Only when
+    no conjugator is certified does the trace scan look for a witness word;
+    without one the verdict is Inconclusive with the construction's reason, and
+    the failed stage is the last record.  Null spaces of dimensions (0, 1) go
+    to the scan first, and to the paper's construction only when it finds no
+    witness.  A record that compares its residual with a tolerance carries it
+    as ``tol``.
 
     Word length, tolerances and budget come from ``config`` alone; ``max_length``
     only builds the default config when none is passed.
@@ -430,19 +591,25 @@ def classify_group(
     cfg = config or AnalysisConfig(max_word_length=max_length)
     stages: List[dict] = []
 
-    def stage(name, status, residual=None):
-        stages.append({"name": name, "status": status, "residual": residual})
+    def stage(name, status, residual=None, tol=None):
+        record = {"name": name, "status": status, "residual": residual}
+        if tol is not None:
+            record["tol"] = tol
+        stages.append(record)
 
-    try:
-        built = _construct(gens, cfg, stage)
-    except BudgetExceeded as exc:
+    count = reduced_word_count(len(gens), cfg.max_word_length)
+    if count > cfg.budget:
         stage("enumeration", "budget_exceeded", None)
-        return ClassificationResult(INCONCLUSIVE, reason=str(exc), stages=stages)
+        reason = str(BudgetExceeded(count, cfg.budget))
+        return ClassificationResult(INCONCLUSIVE, reason=reason, stages=stages)
+    built = null_space_construct(gens, certificate_bound(cfg.tol_real), stage)
+    if built is None:
+        built = _construct(gens, cfg, stage)
     if built.verdict == INCONCLUSIVE:
         witness = find_trace_witness(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
         if witness is not None:
             im_trace = abs(witness.trace.imag)
-            stage("trace_reality", NOT_REAL, im_trace)
+            stage("trace_reality", NOT_REAL, im_trace, cfg.tol_real)
             return ClassificationResult(
                 NOT_REAL_TRACE,
                 certificate=im_trace,
@@ -450,4 +617,7 @@ def classify_group(
                 reason="a word has non-real trace",
                 stages=stages,
             )
+        if built is _NO_INTERTWINER:
+            # a deviation above NULL_TOL can still be within the bound of a large tol_real
+            built = _construct(gens, cfg, stage)
     return replace(built, stages=stages)

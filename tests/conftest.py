@@ -18,6 +18,13 @@ def failing_normalization(monkeypatch):
     monkeypatch.setattr(cli, "normalize_loxodromic", non_member_normalization)
 
 
+@pytest.fixture
+def undecided_null_space(monkeypatch):
+    """The null-space step builds no conjugator, so the paper's construction runs."""
+    monkeypatch.setattr(engine, "_real_form_conjugator", lambda m: None)
+    monkeypatch.setattr(engine, "_product_form_conjugator", lambda commutant: None)
+
+
 def _so21_group(seed):
     """Two generators of SO(2,1) (fixing e3), conjugated by a random SU(3,1) element.
 

@@ -220,7 +220,7 @@ class TestCommandSurface:
         assert exc.value.code == 2
 
     def test_membership_failure_exits_two_with_report(
-        self, tmp_path, capsys, failing_normalization
+        self, tmp_path, capsys, failing_normalization, undecided_null_space
     ):
         f = tmp_path / "gens.json"
         write_generators(f, real_form_corpus(0))

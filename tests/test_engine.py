@@ -25,12 +25,16 @@ from su31cert.engine import (
     find_loxodromic,
     normalize_group,
     relative_certificate,
+    NULL_TOL,
+    intertwiner_systems,
 )
 from su31cert.hermitian import identity_element, norm_max, su31_inverse
 from su31cert.tracefield import IMAGINARY_PAIR, REAL_PAIR, enumerate_words, trace_reality_report
 from su31cert.corpus import (
     generic_corpus,
+    make_corpus,
     product_form_corpus,
+    random_su31,
     random_so31,
     random_su31_algebra,
     real_form_corpus,
@@ -246,7 +250,7 @@ class TestClassifyGroup:
 
 
 class TestConfigAndFailures:
-    def test_membership_failure_is_inconclusive(self, failing_normalization):
+    def test_membership_failure_is_inconclusive(self, failing_normalization, undecided_null_space):
         res = classify_group(real_form_corpus(0), 3)
         assert res.verdict == INCONCLUSIVE
         assert "membership residual" in res.reason
@@ -380,7 +384,8 @@ class TestConstructionFirst:
     @pytest.mark.parametrize(
         "eps, certified",
         # product_form seed 4, whose generator deviation is amplified the most in
-        # words up to length 4: relative certificates 1.8e-11 and 2.7e-11
+        # words up to length 4: relative certificates 1.42e-11 and 2.12e-11
+        # against the bound of 1.5e-11
         [(2.95e-11, True), (4.42e-11, False)],
     )
     def test_certificate_bound_keeps_length_4_words_real(self, eps, certified):
@@ -422,3 +427,116 @@ class TestRealPlaneStabilizer:
         for seed in range(40):
             res = classify_group(so21_group(seed), config=cfg)
             assert res.verdict == INCONCLUSIVE, (seed, res.verdict, res.reason)
+
+
+def word_of(gens, word):
+    element = identity_element()
+    for letter in word:
+        g = gens[abs(letter) - 1]
+        element = element @ (g if letter > 0 else g.inverse())
+    return element
+
+
+def assert_certified(gens, res, verdict):
+    assert res.verdict == verdict, res.reason
+    assert abs(recheck_certificate(gens, res) - res.certificate) <= 1e-12
+    letters = conjugated_generators(res.conjugator, gens)
+    assert relative_certificate(res.verdict, letters) <= certificate_bound()
+
+
+class TestNullSpaceConstruction:
+    def test_systems_are_the_kronecker_rows(self):
+        gens = generic_corpus(3)
+        letters = []
+        for g in gens:
+            for m in (g.entries, su31_inverse(g.entries)):
+                letters.append(m / max(1.0, norm_max(m)))
+        eye = np.eye(4)
+        anti = np.vstack([np.kron(m.conj(), eye) - np.kron(eye, m.T) for m in letters])
+        comm = np.vstack([np.kron(m, eye) - np.kron(eye, m.T) for m in letters])
+        systems = intertwiner_systems(gens)
+        assert systems.shape == (2, 64, 16)
+        assert norm_max(systems[0] - anti) <= 1e-15
+        assert norm_max(systems[1] - comm) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "kind, dims", [("real_form", "(1, 1)"), ("product_form", "(2, 2)"), ("generic", "(0, 1)")]
+    )
+    def test_dimensions_by_kind(self, kind, dims):
+        for seed in range(10):
+            res = classify_group(make_corpus(kind, seed), 4)
+            assert res.stages[0]["name"] == "null_space"
+            assert res.stages[0]["status"] == f"dims {dims}"
+
+    @pytest.mark.parametrize("kind", ["real_form", "product_form"])
+    def test_positive_verdict_records_every_residual_against_its_tolerance(self, kind):
+        for seed in range(10):
+            res = classify_group(make_corpus(kind, seed), 7)
+            names = [s["name"] for s in res.stages]
+            assert names == ["null_space", "null_space_conjugator", "certificate"], names
+            assert all(s["residual"] is not None and s["residual"] <= s["tol"] for s in res.stages)
+            assert res.stages[0]["tol"] == NULL_TOL
+            assert res.stages[-1]["tol"] == certificate_bound()
+
+    def test_positive_verdict_draws_no_word(self, words_walked):
+        for make in (real_form_corpus, product_form_corpus):
+            for seed in range(5):
+                assert classify_group(make(seed), 7).verdict in (REAL_FORM, COMPACT_PRODUCT_FORM)
+        assert words_walked[0] == 0
+
+    def test_no_intertwiner_goes_straight_to_the_scan(self):
+        res = classify_group(generic_corpus(0), 8)
+        assert [s["name"] for s in res.stages] == ["null_space", "trace_reality"]
+        assert res.verdict == NOT_REAL_TRACE
+
+    def test_deviation_above_the_null_tolerance_meets_a_large_tol_real(self):
+        # no null vector at NULL_TOL and no witness at tol_real = 1e-4: the
+        # paper's construction certifies within the bound that tol_real sets
+        gens = near_real(product_form_corpus(0), 1e-8, 0)
+        res = classify_group(gens, config=AnalysisConfig(tol_real=1e-4))
+        assert res.stages[0]["status"] == "dims (0, 1)"
+        assert res.verdict == COMPACT_PRODUCT_FORM
+
+    def test_still_certifies_when_only_normalization_fails(self, failing_normalization):
+        gens = real_form_corpus(0)
+        assert_certified(gens, classify_group(gens, 3), REAL_FORM)
+
+    def test_ill_conditioned_real_corpus_is_certified(self):
+        # corpus 600: the paper's construction builds a D with |D|_max about 10
+        # whose rounding lifts the relative certificate to 2.1e-11
+        gens = real_form_corpus(600)
+        assert_certified(gens, classify_group(gens, 4), REAL_FORM)
+
+    @pytest.mark.parametrize("length", [3, 4, 5])
+    def test_real_subgroup_with_a_singular_real_span_is_certified(self, length):
+        # the paper's construction finds Gram eigenvalues [-13.0, 0.0, 1.07, 11.9] here
+        g1, g2 = real_form_corpus(0)
+        w = word_of([g1, g2], (2, 1, 2, -1, -1, -2))
+        gens = [g1, w.inverse()]
+        assert_certified(gens, classify_group(gens, length), REAL_FORM)
+
+
+def metamorphic_variants(gens, seed):
+    """Swapped, g1 inverted, g1 g2 appended, and every generator conjugated by a seeded P."""
+    g1, g2 = gens
+    p = random_su31(np.random.default_rng(5000 + seed), 0.8).entries
+    p_inv = np.linalg.inv(p)
+    return {
+        "swapped": [g2, g1],
+        "inverted": [g1.inverse(), g2],
+        "appended": [g1, g2, g1 @ g2],
+        "conjugated": [GroupElement(p_inv @ g.entries @ p) for g in gens],
+    }
+
+
+@pytest.mark.parametrize("kind", ["real_form", "product_form", "generic"])
+def test_verdict_survives_the_metamorphic_transforms(kind):
+    flips = []
+    for seed in range(40):
+        gens = make_corpus(kind, seed)
+        base = classify_group(gens, 4).verdict
+        for name, variant in metamorphic_variants(gens, seed).items():
+            verdict = classify_group(variant, 4).verdict
+            if verdict != base:
+                flips.append((seed, name, base, verdict))
+    assert not flips
