@@ -9,9 +9,9 @@ that its relative certificate is 0.9 and 1.35 times the certificate bound
 For each input the script prints
 
 - rel cert: engine.relative_certificate of the generators conjugated by the
-  D that classify_group builds when its bound is lifted (tol_real = 1), from
-  the null spaces where they give the shape and from the paper's
-  construction otherwise (nan when neither builds a D);
+  D that classify_group builds when its bound is lifted (tol_real = 1): from
+  the null spaces, or from their nearest shape where the deviation leaves
+  them at dimensions (0, 1) (nan when no D is built);
 - im4: the largest |Im tr| over the reduced words up to length 4;
 - scan: the trace-reality scan at tol_real over all reduced words up to
   L = 4, 7, 8 ("real" or "not");

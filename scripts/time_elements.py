@@ -85,7 +85,8 @@ def main(argv=None) -> int:
     bound = engine.certificate_bound()
 
     def null_space_construct(gens):
-        return engine.null_space_construct(gens, bound, no_record)
+        systems, dims = engine.null_spaces(gens, no_record)
+        return engine.null_space_construct(gens, systems, dims, bound, no_record)
 
     for kind, sample in groups.items():
         ms = median_ms(null_space_construct, sample, args.passes)

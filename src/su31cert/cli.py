@@ -92,7 +92,6 @@ def cmd_classify(args) -> int:
     cfg = AnalysisConfig(
         max_word_length=args.max_word_len,
         tol_real=args.tol_real,
-        tol_corner=args.tol_corner,
         budget=args.budget,
     )
     gens = _load_generators(args.generators, cfg.tol_form)
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--budget", type=int, default=AnalysisConfig.budget)
 
     p = sub.add_parser("classify", parents=[scan], help="run the full group pipeline")
-    p.add_argument("--tol-corner", type=float, default=AnalysisConfig.tol_corner)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("element", parents=[out], help="classify a single matrix")

@@ -37,6 +37,7 @@ LOXODROMIC = "loxodromic"
 PARABOLIC = "parabolic"
 ELLIPTIC = "elliptic"
 
+SPEC_TOL = 1e-7            # unit-modulus band of classify and is_loxodromic
 CLUSTER_TOL = 1e-5         # polished simple roots are far closer than this: only repeats merge
 COARSE_CLUSTER_TOL = 1e-3  # a multiple root is only good to ~eps^(1/4) ~ 1e-4; this re-merges it
 PIVOT_TOL = 1e-9           # smaller relative pivots are rounding in a singular A - lambda I
@@ -273,7 +274,7 @@ def _gram_eigh(vectors: np.ndarray):
     return np.linalg.eigh(0.5 * (gram + gram.conj().T))
 
 
-def classify(a, tol: float = AnalysisConfig.tol_spec) -> ElementType:
+def classify(a, tol: float = SPEC_TOL) -> ElementType:
     """Loxodromic / parabolic / elliptic per the boundary fixed-point trichotomy."""
     m = matrix_of(a)
     eig = eigen_solve(m)
@@ -301,7 +302,7 @@ def classify(a, tol: float = AnalysisConfig.tol_spec) -> ElementType:
     return ElementType(ELLIPTIC, [], interior_witness=witness)
 
 
-def is_loxodromic(a, tol: float = AnalysisConfig.tol_spec) -> bool:
+def is_loxodromic(a, tol: float = SPEC_TOL) -> bool:
     """classify's loxodromic rule alone, with no fixed points built; False if ill-conditioned."""
     try:
         return bool(np.abs(eigen_solve(a).values).max() > 1.0 + tol)

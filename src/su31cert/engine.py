@@ -1,25 +1,19 @@
 """Group-level certification pipeline.
 
-The null-space step comes first.  If D g D^{-1} is real for every generator
-g, then M = conj(D)^{-1} D solves conj(g) M = M g; if the group lies in a
-conjugate of SU(1,1)xSU(2), the projections onto its two invariant planes
-commute with it.  Both are null spaces of linear systems in the 16 entries
-of M over the generators and their inverses, so no word, loxodromic or word
-length enters.  Their dimensions (antilinear, commutant) pick the shape:
-antilinear dimension 1 is the real form, D from D0 = I + mu M and a real
-congruence of D0's form to J; (2, 2) with planes of J-signature (1,1) and
-(2,0) is the product form, D from J-orthonormal frames of the planes; (0, 1)
-is neither real form.  A D built here and certified at the generators ends
-the call without drawing a word.
-
-Every other shape, and a certificate over its bound, runs the paper's
-construction: find a loxodromic -> diagonalize it (move its axis to the
-standard one) -> find a second loxodromic whose corner product d*q is
-structurally nonzero -> branch on whether d, q are purely imaginary (block
-SU(1,1)xSU(2) case) or real (totally real span / SO(3,1) case) -> construct
-the conjugator D -> certify it at the input generators.  A certified D ends
-the call: every trace of a group conjugate into either real form is real, so
-the word tree is not walked to confirm it.
+If D g D^{-1} is real for every generator g, then M = conj(D)^{-1} D solves
+conj(g) M = M g; if the group lies in a conjugate of SU(1,1)xSU(2), the
+projections onto its two invariant planes commute with it.  Both are null
+spaces of linear systems in the 16 entries of M over the generators and
+their inverses, so no word, loxodromic or word length enters.  Their
+dimensions (antilinear, commutant) pick the shape: antilinear dimension 1 is
+the real form, D from D0 = I + mu M and a real congruence of D0's form to J;
+(2, 2) with planes of J-signature (1,1) and (2,0) is the product form, D from
+J-orthonormal frames of the planes; a commutant above dimension 2 (a group
+fixing a complex line pointwise) is the product form on the two-dimensional
+center of the commutant algebra.  (0, 1) is neither real form at NULL_TOL:
+the trace scan runs first, and only without a witness are the nearest shapes
+tried, the smallest antilinear vector as a real form and the two smallest
+commutant vectors as a product form.
 
 The certificate is the largest target-shape residual of D g D^{-1} over each
 input generator g and its inverse: the block-form residual for
@@ -33,14 +27,19 @@ amplification so that words up to length 4 stay within tol_real, but a
 group within the bound yet not exactly real can have longer words with
 |Im tr| above tol_real.
 
-Only when no D is certified (dimensions (0, 1), or a failure of the paper's
-construction: a stage failure, a spectral exception, an ambiguous case or a
-certificate over its bound) are the reduced words up to
-the length bound scanned, stopping at the first one with |Im tr| > tol_real.
-That word is the not_real_trace witness and |Im tr| of it is the
-certificate, re-checkable from the generators and the word alone.  Without a
-witness the verdict is Inconclusive with the last construction's reason; the
-pipeline never claims more than its residuals certify.
+When no D is certified, the reduced words up to the length bound are scanned,
+stopping at the first one with |Im tr| > tol_real.  That word is the
+not_real_trace witness and |Im tr| of it is the certificate, re-checkable from
+the generators and the word alone.  Without a witness the verdict is
+Inconclusive; the pipeline never claims more than its residuals certify.
+
+The paper's construction stays as library code with no caller here: find a
+loxodromic (find_loxodromic), diagonalize it (normalize_group), find a second
+loxodromic whose corner product d*q is structurally nonzero
+(find_branch_witness), branch on whether d, q are purely imaginary or real
+(detect_case), then certify the block form (case1_certify) or span a totally
+real subspace and build its conjugator (case2_build_real_span,
+case2_conjugator).
 """
 
 from __future__ import annotations
@@ -62,9 +61,7 @@ from .hermitian import (
     su31_residual,
 )
 from .elements import (
-    IllConditioned,
-    NotLoxodromic,
-    NotRealTrace,
+    SPEC_TOL,
     classify,  # noqa: F401  (perfbench's traced run wraps engine.classify)
     is_loxodromic,
     normalize_loxodromic,
@@ -89,6 +86,8 @@ CASE_I = "case_i"
 CASE_II = "case_ii"
 CASE_AMBIGUOUS = "ambiguous"
 
+CORNER_TOL = 1e-6      # find_branch_witness: |d q| below this share of |m|_max is a structural zero
+BRANCH_TOL = 1e-6      # detect_case: relative tolerance of the real-vs-imaginary dichotomy
 SPAN_IMAG_TOL = 1e-7   # |Im <v_i, v_j>| / scale^2 above this is no rounding of a Gram entry
 SPAN_RANK_TOL = 1e-9   # singular-value ratios below this are rounding, not a new direction
 NULL_TOL = 1e-9        # singular values of a system below this share of the largest are null
@@ -117,7 +116,7 @@ _NULL_CONE = np.array(
 
 
 class StageFailure(RuntimeError):
-    """Raised by a pipeline stage; classify_group converts it into Inconclusive."""
+    """Raised by a stage of the paper's construction, or by a conjugator that cannot be built."""
 
     def __init__(self, stage: str, reason: str):
         self.stage = stage
@@ -182,7 +181,7 @@ class RealSpanBasis:
 def find_loxodromic(
     gens: Sequence[GroupElement],
     max_length: int,
-    tol: float = AnalysisConfig.tol_spec,
+    tol: float = SPEC_TOL,
     budget: int = AnalysisConfig.budget,
 ) -> GroupElement:
     """First word (enumeration order) classified loxodromic."""
@@ -203,8 +202,8 @@ def normalize_group(gens: Sequence[GroupElement], a_lox: GroupElement):
 def find_branch_witness(
     gens: Sequence[GroupElement],
     max_length: int,
-    tol_corner: float = AnalysisConfig.tol_corner,
-    tol_spec: float = AnalysisConfig.tol_spec,
+    tol_corner: float = CORNER_TOL,
+    tol_spec: float = SPEC_TOL,
     budget: int = AnalysisConfig.budget,
 ) -> GroupElement:
     """First loxodromic word with |d q| above the structural-zero threshold.
@@ -224,7 +223,7 @@ def find_branch_witness(
     )
 
 
-def detect_case(b0: GroupElement, tol_rel: float = AnalysisConfig.tol_rel) -> str:
+def detect_case(b0: GroupElement, tol_rel: float = BRANCH_TOL) -> str:
     """Case I for purely imaginary corners d, q; Case II for real ones (Lemma 2.2)."""
     branch = lemma22_branch(b0.entries[0, 3], b0.entries[3, 0], tol=tol_rel)
     return {IMAGINARY_PAIR: CASE_I, REAL_PAIR: CASE_II}.get(branch, CASE_AMBIGUOUS)
@@ -463,108 +462,71 @@ def _product_form_conjugator(commutant: np.ndarray) -> Optional[GroupElement]:
     return _frame_conjugator(np.column_stack([y, x2, x3, x]))
 
 
-_NO_INTERTWINER = ClassificationResult(
-    INCONCLUSIVE,
-    reason="no antilinear intertwiner, so the group is in neither real form, "
-    "but no word up to the length bound has non-real trace",
-)
+def _commutant_center(commutant: np.ndarray) -> np.ndarray:
+    """A basis of the center of the algebra spanned by an orthonormal commutant basis.
 
-
-def null_space_construct(
-    gens: Sequence[GroupElement], bound: float, stage
-) -> Optional[ClassificationResult]:
-    """The conjugator read off the intertwiner null spaces, certified at the generators.
-
-    Dimension 1 of the antilinear null space is the real form, dimensions
-    (2, 2) the product form.  Dimensions (0, 1) mean the group is in neither
-    real form at NULL_TOL: _NO_INTERTWINER, pending a witness word.  None when
-    the null spaces leave the shape undecided or the certificate is over its
-    bound.
+    Z = sum x_i C_i is central when sum x_i [C_i, C_j] = 0 for every j; the
+    brackets of orthonormal C_i are of order 1, so NULL_TOL applies as it is.
     """
+    brackets = commutant[:, None] @ commutant[None] - commutant[None] @ commutant[:, None]
+    _, sv, vh = np.linalg.svd(brackets.reshape(len(commutant), -1).T, full_matrices=False)
+    return np.tensordot(vh[sv <= NULL_TOL].conj(), commutant, axes=1)
+
+
+def null_spaces(gens: Sequence[GroupElement], stage):
+    """The two intertwiner systems and the dimensions (antilinear, commutant) of their null spaces."""
     systems = intertwiner_systems(gens)
     sv = np.linalg.svd(systems, compute_uv=False)
     rel = sv / np.maximum(sv[:, :1], np.finfo(float).tiny)
     null = rel <= NULL_TOL
-    anti, comm = (int(n) for n in null.sum(axis=1))
-    edge = float(np.max(rel, where=null, initial=0.0))
-    stage("null_space", f"dims ({anti}, {comm})", edge, NULL_TOL)
-    if (anti, comm) == (0, 1):
-        return _NO_INTERTWINER
-    d = None
+    dims = tuple(int(n) for n in null.sum(axis=1))
+    stage("null_space", f"dims {dims}", float(np.max(rel, where=null, initial=0.0)), NULL_TOL)
+    return systems, dims
+
+
+def _shape_forms(dims) -> tuple:
+    """The target forms the null-space dimensions point to, in the order they are tried."""
+    anti, comm = dims
+    if anti == 1:
+        return (REAL_FORM,)
+    if dims == (2, 2) or comm > 2:
+        return (COMPACT_PRODUCT_FORM,)
+    if dims == (0, 1):  # neither form at NULL_TOL: the nearest shapes
+        return (REAL_FORM, COMPACT_PRODUCT_FORM)
+    return ()
+
+
+def _shape_conjugator(verdict: str, systems: np.ndarray, comm: int) -> Optional[GroupElement]:
+    """The verdict's conjugator read off the null spaces, or None where they give none."""
     try:
-        if anti == 1:
-            verdict = REAL_FORM
-            d = _real_form_conjugator(_null_basis(systems[0], 1)[0])
-        elif (anti, comm) == (2, 2):
-            verdict = COMPACT_PRODUCT_FORM
-            d = _product_form_conjugator(_null_basis(systems[1], 2))
+        if verdict == REAL_FORM:
+            return _real_form_conjugator(_null_basis(systems[0], 1)[0])
+        planes = _null_basis(systems[1], max(comm, 2))
+        if comm > 2:
+            planes = _commutant_center(planes)
+        return _product_form_conjugator(planes) if len(planes) == 2 else None
     except (StageFailure, NotInGroup, np.linalg.LinAlgError):
-        pass
-    if d is None:
-        stage("null_space_conjugator", "undecided", None)
         return None
-    stage("null_space_conjugator", verdict, float(su31_residual(d.entries)), CONJUGATOR_TOL)
-    certificate, relative = _certificate(verdict, conjugated_generators(d, gens))
-    stage("certificate", "ok" if relative <= bound else "above_bound", relative, bound)
-    if relative > bound:
-        return None
-    return ClassificationResult(verdict, conjugator=d, certificate=certificate)
 
 
-def _construct(gens: Sequence[GroupElement], cfg: AnalysisConfig, stage) -> ClassificationResult:
-    """The paper's conjugator and its certificate, or Inconclusive with the reason it failed.
+def null_space_construct(
+    gens: Sequence[GroupElement], systems: np.ndarray, dims, bound: float, stage
+) -> Optional[ClassificationResult]:
+    """The first conjugator of the shape certified at the generators within bound, or None.
 
-    The caller has checked the word count against the budget.
+    systems and dims are what null_spaces returns.
     """
-    bound = certificate_bound(cfg.tol_real)
-    try:
-        a_lox = find_loxodromic(gens, cfg.max_word_length, cfg.tol_spec, cfg.budget)
-        stage("find_loxodromic", "found", None)
-
-        norm_gens, nf = normalize_group(gens, a_lox)
-        stage("normalize_group", "ok", float(su31_residual(nf.conjugator.entries)))
-
-        b0 = find_branch_witness(
-            norm_gens, cfg.max_word_length, cfg.tol_corner, cfg.tol_spec, cfg.budget
-        )
-        stage("find_branch_witness", "found", None)
-
-        case = detect_case(b0, cfg.tol_rel)
-        stage("detect_case", case, None)
-        if case == CASE_AMBIGUOUS:
-            return ClassificationResult(
-                INCONCLUSIVE,
-                reason="corner entries of the branch witness are neither real "
-                "nor purely imaginary",
-            )
-
-        c_inv = nf.conjugator.inverse()
-        if case == CASE_I:
-            verdict, conjugator = COMPACT_PRODUCT_FORM, c_inv
-            certificate = case1_certify(conjugated_generators(conjugator, gens), bound)
-            stage("case1_certify", "ok", certificate)
-        else:
-            basis = case2_build_real_span(
-                enumerate_words(norm_gens, cfg.max_word_length, cfg.budget)
-            )
-            stage("case2_build_real_span", f"dim {basis.dim}", None)
-            verdict, conjugator = REAL_FORM, case2_conjugator(basis) @ c_inv
-            certificate, relative = _certificate(verdict, conjugated_generators(conjugator, gens))
-            stage("case2_conjugator", "ok", certificate)
-            if relative > bound:
-                return ClassificationResult(
-                    INCONCLUSIVE,
-                    reason=f"real-form certificate {certificate:.3e} above the bound "
-                    f"{bound:.1e} relative to the conjugated generators",
-                )
-        return ClassificationResult(verdict, conjugator=conjugator, certificate=certificate)
-
-    except StageFailure as exc:
-        stage(exc.stage, "failed", None)
-        return ClassificationResult(INCONCLUSIVE, reason=exc.reason)
-    except (IllConditioned, NotInGroup, NotLoxodromic, NotRealTrace) as exc:
-        stage("spectral", "failed", None)
-        return ClassificationResult(INCONCLUSIVE, reason=str(exc))
+    for verdict in _shape_forms(dims):
+        d = _shape_conjugator(verdict, systems, dims[1])
+        if d is None:
+            stage("null_space_conjugator", "undecided", None)
+            continue
+        stage("null_space_conjugator", verdict, float(su31_residual(d.entries)), CONJUGATOR_TOL)
+        certificate, relative = _certificate(verdict, conjugated_generators(d, gens))
+        stage("certificate", "ok" if relative <= bound else "above_bound", relative, bound)
+        if relative <= bound:
+            return ClassificationResult(verdict, conjugator=d, certificate=certificate)
+    return None
 
 
 def classify_group(
@@ -572,18 +534,15 @@ def classify_group(
     max_length: int = AnalysisConfig.max_word_length,
     config: Optional[AnalysisConfig] = None,
 ) -> ClassificationResult:
-    """Full pipeline; every failure path yields an Inconclusive verdict.
+    """Full pipeline; every input gets a verdict, and no exception of a stage leaves it.
 
-    A word count over the budget is Inconclusive before anything runs.  Then the
-    null-space step, and the paper's construction where it leaves the shape
-    undecided or its certificate over the bound: a certified conjugator ends the
-    call, so a positive verdict does not depend on the length bound.  Only when
-    no conjugator is certified does the trace scan look for a witness word;
-    without one the verdict is Inconclusive with the construction's reason, and
-    the failed stage is the last record.  Null spaces of dimensions (0, 1) go
-    to the scan first, and to the paper's construction only when it finds no
-    witness.  A record that compares its residual with a tolerance carries it
-    as ``tol``.
+    In order: a word count over the budget is Inconclusive before anything
+    runs; the null spaces; for dimensions (0, 1) the witness scan; the
+    conjugator for the shape, certified at the generators, which ends the call
+    so that a positive verdict does not depend on the length bound; the
+    witness scan, if no conjugator is certified; Inconclusive, if that scan
+    finds no witness.  A record that compares its residual with a tolerance
+    carries it as ``tol``.
 
     Word length, tolerances and budget come from ``config`` alone; ``max_length``
     only builds the default config when none is passed.
@@ -597,27 +556,36 @@ def classify_group(
             record["tol"] = tol
         stages.append(record)
 
+    def witness_verdict() -> Optional[ClassificationResult]:
+        witness = find_trace_witness(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
+        if witness is None:
+            return None
+        im_trace = abs(witness.trace.imag)
+        stage("trace_reality", NOT_REAL, im_trace, cfg.tol_real)
+        return ClassificationResult(
+            NOT_REAL_TRACE,
+            certificate=im_trace,
+            witness=witness.word,
+            reason="a word has non-real trace",
+        )
+
     count = reduced_word_count(len(gens), cfg.max_word_length)
     if count > cfg.budget:
         stage("enumeration", "budget_exceeded", None)
         reason = str(BudgetExceeded(count, cfg.budget))
         return ClassificationResult(INCONCLUSIVE, reason=reason, stages=stages)
-    built = null_space_construct(gens, certificate_bound(cfg.tol_real), stage)
+    systems, dims = null_spaces(gens, stage)
+    scan_first = dims == (0, 1)
+    built = witness_verdict() if scan_first else None
     if built is None:
-        built = _construct(gens, cfg, stage)
-    if built.verdict == INCONCLUSIVE:
-        witness = find_trace_witness(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
-        if witness is not None:
-            im_trace = abs(witness.trace.imag)
-            stage("trace_reality", NOT_REAL, im_trace, cfg.tol_real)
-            return ClassificationResult(
-                NOT_REAL_TRACE,
-                certificate=im_trace,
-                witness=witness.word,
-                reason="a word has non-real trace",
-                stages=stages,
-            )
-        if built is _NO_INTERTWINER:
-            # a deviation above NULL_TOL can still be within the bound of a large tol_real
-            built = _construct(gens, cfg, stage)
+        built = null_space_construct(gens, systems, dims, certificate_bound(cfg.tol_real), stage)
+    if built is None and not scan_first:
+        built = witness_verdict()
+    if built is None:
+        built = ClassificationResult(
+            INCONCLUSIVE,
+            reason=f"null spaces of dimensions {dims} give no conjugator certified at the "
+            f"generators, and no word up to length {cfg.max_word_length} is a witness "
+            "of non-real trace",
+        )
     return replace(built, stages=stages)

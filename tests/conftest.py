@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from su31cert import GroupElement, cli, engine, normalize_loxodromic
-from su31cert.corpus import expm, random_so31_algebra, random_su31
+from su31cert.corpus import (
+    embed_block,
+    expm,
+    random_so31_algebra,
+    random_su31,
+    su11_swap_loxodromic,
+)
 
 
 def non_member_normalization(a):
@@ -16,13 +22,6 @@ def failing_normalization(monkeypatch):
     """normalize_loxodromic, as the engine and the CLI call it, raises NotInGroup."""
     monkeypatch.setattr(engine, "normalize_loxodromic", non_member_normalization)
     monkeypatch.setattr(cli, "normalize_loxodromic", non_member_normalization)
-
-
-@pytest.fixture
-def undecided_null_space(monkeypatch):
-    """The null-space step builds no conjugator, so the paper's construction runs."""
-    monkeypatch.setattr(engine, "_real_form_conjugator", lambda m: None)
-    monkeypatch.setattr(engine, "_product_form_conjugator", lambda commutant: None)
 
 
 def _so21_group(seed):
@@ -47,3 +46,21 @@ def _so21_group(seed):
 def so21_group():
     """Builder of the SO(2,1) test groups: seed -> two generators."""
     return _so21_group
+
+
+def _c_fuchsian_group(seed):
+    """Two generators of SU(1,1)x{I}, conjugated by a random SU(3,1) element.
+
+    Such a group fixes a complex line pointwise and preserves its orthogonal
+    complement, so its commutant has dimension 5, not 2.
+    """
+    rng = np.random.default_rng(seed)
+    mats = [embed_block(su11_swap_loxodromic(rng), np.eye(2)).entries for _ in range(2)]
+    p = random_su31(rng).entries
+    return [GroupElement.certify(p @ m @ np.linalg.inv(p)) for m in mats]
+
+
+@pytest.fixture
+def c_fuchsian_group():
+    """Builder of the C-Fuchsian test groups: seed -> two generators."""
+    return _c_fuchsian_group

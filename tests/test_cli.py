@@ -212,23 +212,13 @@ class TestCommandSurface:
             ["element", "--matrix", "m.json", "--max-word-len", "4"],
             ["cartan", "--vectors", "v.json", "--tol-real", "1e-8"],
             ["classify", "--generators", "g.json", "--jobs", "2"],
+            ["classify", "--generators", "g.json", "--tol-corner", "1e-6"],
         ],
     )
     def test_flag_the_subcommand_does_not_read_is_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-
-    def test_membership_failure_exits_two_with_report(
-        self, tmp_path, capsys, failing_normalization, undecided_null_space
-    ):
-        f = tmp_path / "gens.json"
-        write_generators(f, real_form_corpus(0))
-        code, out, _ = run(capsys, "classify", "--generators", str(f), "--max-word-len", "3")
-        assert code == 2
-        report = json.loads(out)
-        assert report["verdict"] == "inconclusive"
-        assert "membership residual" in report["reason"]
 
 
 class TestErrorPaths:
