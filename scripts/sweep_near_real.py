@@ -45,6 +45,7 @@ from su31cert.engine import (
     REAL_FORM,
     certificate_bound,
     conjugated_generators,
+    generator_letters,
     relative_certificate,
 )
 from su31cert.hermitian import norm_max
@@ -70,7 +71,8 @@ def lifted_certificate(gens) -> float:
     res = classify_group(gens, config=AnalysisConfig(tol_real=1.0))
     if res.verdict not in (REAL_FORM, COMPACT_PRODUCT_FORM):
         return float("nan")
-    return relative_certificate(res.verdict, conjugated_generators(res.conjugator, gens))
+    letters = conjugated_generators(res.conjugator, generator_letters(gens))
+    return relative_certificate(res.verdict, letters)
 
 
 def main(argv=None) -> int:

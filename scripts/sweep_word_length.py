@@ -2,14 +2,15 @@
 """Experiment: words walked and runtime against the word-length bound L.
 
 For each word-length bound L the script classifies a batch of seeded
-real-form and product-form corpora and reports the size of the word tree
-(the reduced words up to L), the words the pipeline actually drew from it
-per classify call, and the wall time per call (the corpora are built before
-the clock starts).  A positive verdict is certified at the generators and
-ends the call, so it draws no word at any L while the tree grows; only a
+real-form, product-form and generic corpora and reports the size of the word
+tree (the reduced words up to L), the words the pipeline actually drew from
+it per classify call, and the wall time per call (the corpora are built
+before the clock starts).  A generator with non-real trace is the witness
+and ends the call, and a positive verdict is certified at the generators and
+ends the call, so neither draws a word at any L while the tree grows; only a
 failed construction scans the tree for a witness.  The worst certificate is
-printed as a check: it is taken at the generators, so it is the same at
-every L.
+printed as a check: it is taken at the generators (for generic corpora it
+is |Im tr| of the witness generator), so it is the same at every L.
 
 Usage:
     python3 scripts/sweep_word_length.py --seeds 10 --lengths 2 3 4 5 7
@@ -20,7 +21,7 @@ import sys
 import time
 
 from su31cert import classify_group, engine
-from su31cert.corpus import product_form_corpus, real_form_corpus
+from su31cert.corpus import generic_corpus, product_form_corpus, real_form_corpus
 from su31cert.tracefield import reduced_word_count
 
 
@@ -45,7 +46,11 @@ def main(argv=None) -> int:
         f"{'ms/run':>8} {'worst cert':>12}"
     )
     for length in args.lengths:
-        for kind, make in (("real_form", real_form_corpus), ("product_form", product_form_corpus)):
+        for kind, make in (
+            ("real_form", real_form_corpus),
+            ("product_form", product_form_corpus),
+            ("generic", generic_corpus),
+        ):
             groups = [make(seed) for seed in range(args.seeds)]
             worst = 0.0
             walked[0] = 0

@@ -85,8 +85,9 @@ def main(argv=None) -> int:
     bound = engine.certificate_bound()
 
     def null_space_construct(gens):
-        systems, dims = engine.null_spaces(gens, no_record)
-        return engine.null_space_construct(gens, systems, dims, bound, no_record)
+        letters = engine.generator_letters(gens)
+        systems, dims = engine.null_spaces(letters, no_record)
+        return engine.null_space_construct(letters, systems, dims, bound, no_record)
 
     for kind, sample in groups.items():
         ms = median_ms(null_space_construct, sample, args.passes)

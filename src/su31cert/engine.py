@@ -1,5 +1,10 @@
 """Group-level certification pipeline.
 
+The cheapest proof comes first: a generator with |Im tr| > tol_real is a
+not_real_trace witness of length 1, the first violator in enumeration order,
+so the call ends there with no conjugator built.  Only groups whose
+generators all have real traces go on to the null spaces.
+
 If D g D^{-1} is real for every generator g, then M = conj(D)^{-1} D solves
 conj(g) M = M g; if the group lies in a conjugate of SU(1,1)xSU(2), the
 projections onto its two invariant planes commute with it.  Both are null
@@ -45,7 +50,7 @@ case2_conjugator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -317,11 +322,12 @@ def case2_conjugator(basis: RealSpanBasis) -> GroupElement:
     """
     if basis.dim != 4:
         raise RankDeficient(basis.dim, basis.vectors)
-    return _real_congruence(np.column_stack(basis.vectors))
+    return _real_congruence(np.column_stack(basis.vectors))[0]
 
 
-def _real_congruence(w: np.ndarray) -> GroupElement:
-    """D = (W R)^{-1} with R real and (W R)* J (W R) = J, for W* J W real of signature (3,1).
+def _real_congruence(w: np.ndarray) -> Tuple[GroupElement, float]:
+    """(D, its membership residual) for D = (W R)^{-1}, R real and (W R)* J (W R) = J,
+    for W* J W real of signature (3,1).
 
     R is assembled from the symmetric eigendecomposition of the Gram matrix, so
     D M D^{-1} is real wherever W^{-1} M W is.
@@ -337,26 +343,41 @@ def _real_congruence(w: np.ndarray) -> GroupElement:
     return _frame_conjugator(w @ (q / np.sqrt(np.abs(vals))))
 
 
-def _frame_conjugator(f: np.ndarray) -> GroupElement:
-    """F^{-1} phase-scaled to det 1, for J-orthogonal columns f of J-norms -1, 1, 1, 1.
+def _frame_conjugator(f: np.ndarray) -> Tuple[GroupElement, float]:
+    """(D, its membership residual) for D = F^{-1} phase-scaled to det 1, with F from
+    J-orthogonal columns f of J-norms -1, 1, 1, 1; NotInGroup above CONJUGATOR_TOL.
 
     F has columns (f1 + f4)/sqrt 2, f2, f3, (f4 - f1)/sqrt 2: the first and
     last are null with <F e1, F e4> = 1, so F* J F = J.
     """
     wr = f @ _NULL_CONE
     det = np.linalg.det(wr)
-    wr = wr * np.exp(-1j * np.angle(det) / 4.0)
-    return GroupElement.certify(su31_inverse(wr), tol=CONJUGATOR_TOL)
+    d = su31_inverse(wr * np.exp(-1j * np.angle(det) / 4.0))
+    residual = su31_residual(d)
+    if residual > CONJUGATOR_TOL:
+        raise NotInGroup(residual, CONJUGATOR_TOL)
+    d.flags.writeable = False
+    return GroupElement(d), residual
 
 
-def conjugated_generators(d: GroupElement, gens: Sequence[GroupElement]) -> List[GroupElement]:
-    """D g D^{-1} for each generator g and its inverse, labelled as the words (i,) and (-i,)."""
+def generator_letters(gens: Sequence[GroupElement]) -> np.ndarray:
+    """Each generator and its inverse, as a (2k, 4, 4) stack: g1, g1^-1, g2, g2^-1, ..."""
+    mats = [m for g in gens for m in (g.entries, su31_inverse(g.entries))]
+    return np.array(mats).reshape(-1, 4, 4)
+
+
+def _letter_labels(letters: np.ndarray) -> List[int]:
+    """The signed generator index of each row of generator_letters: 1, -1, 2, -2, ..."""
+    return [sign * i for i in range(1, len(letters) // 2 + 1) for sign in (1, -1)]
+
+
+def conjugated_generators(d: GroupElement, letters: np.ndarray) -> List[GroupElement]:
+    """D m D^{-1} for each m of generator_letters(gens), labelled as the words (i,) and (-i,)."""
     d_mat = d.entries
     d_inv = su31_inverse(d_mat)
     return [
-        GroupElement(d_mat @ m @ d_inv, (sign * i,))
-        for i, g in enumerate(gens, 1)
-        for sign, m in ((1, g.entries), (-1, su31_inverse(g.entries)))
+        GroupElement(d_mat @ m @ d_inv, (label,))
+        for label, m in zip(_letter_labels(letters), letters)
     ]
 
 
@@ -399,16 +420,14 @@ def find_trace_witness(
     return None
 
 
-def intertwiner_systems(gens: Sequence[GroupElement]) -> np.ndarray:
+def intertwiner_systems(letters: np.ndarray) -> np.ndarray:
     """The antilinear and the commutant system in row-major vec(M), as a (2, 32k, 16) stack.
 
     conj(g) M = M g has rows kron(conj(g), I) - kron(I, g^T) and g M = M g has
-    rows kron(g, I) - kron(I, g^T), one 16-row block for each generator and
-    each inverse, scaled by 1/max(1, |g|_max).
+    rows kron(g, I) - kron(I, g^T), one 16-row block for each g of
+    generator_letters(gens), scaled by 1/max(1, |g|_max).
     """
-    mats = [m for g in gens for m in (g.entries, su31_inverse(g.entries))]
-    mats = np.array(mats).reshape(-1, 4, 4)
-    mats = mats / np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))[:, None, None]
+    mats = letters / np.maximum(1.0, np.abs(letters).max(axis=(1, 2)))[:, None, None]
     eye = np.eye(4)
     right = eye[None, :, None, :, None] * mats.transpose(0, 2, 1)[:, None, :, None, :]
     left = np.stack([mats.conj(), mats])[:, :, :, None, :, None] * eye[:, None, :]
@@ -420,8 +439,9 @@ def _null_basis(system: np.ndarray, dim: int) -> np.ndarray:
     return np.linalg.svd(system, full_matrices=False)[2][-dim:].conj().reshape(-1, 4, 4)
 
 
-def _real_form_conjugator(m: np.ndarray) -> Optional[GroupElement]:
-    """D with D g D^{-1} real for every g with conj(g) M = M g, or None if M is no real structure.
+def _real_form_conjugator(m: np.ndarray) -> Optional[Tuple[GroupElement, float]]:
+    """(D, its membership residual) with D g D^{-1} real for every g with conj(g) M = M g,
+    or None if M is no real structure.
 
     Scaled so that M conj(M) = I, M = conj(D0)^{-1} D0 up to a unit factor for
     D0 = I + mu M with any unit mu; of four, the mu that keeps D0 best
@@ -436,8 +456,9 @@ def _real_form_conjugator(m: np.ndarray) -> Optional[GroupElement]:
     return _real_congruence(np.linalg.inv(d0))
 
 
-def _product_form_conjugator(commutant: np.ndarray) -> Optional[GroupElement]:
-    """D taking the two invariant planes to the blocks of SU(1,1)xSU(2), or None.
+def _product_form_conjugator(commutant: np.ndarray) -> Optional[Tuple[GroupElement, float]]:
+    """(D, its membership residual) with D taking the two invariant planes to the blocks
+    of SU(1,1)xSU(2), or None.
 
     Of the two commutant elements, the one furthest from a scalar is taken
     trace-free: C = a (P - (I - P)) for the projection P onto one plane, so
@@ -473,9 +494,10 @@ def _commutant_center(commutant: np.ndarray) -> np.ndarray:
     return np.tensordot(vh[sv <= NULL_TOL].conj(), commutant, axes=1)
 
 
-def null_spaces(gens: Sequence[GroupElement], stage):
-    """The two intertwiner systems and the dimensions (antilinear, commutant) of their null spaces."""
-    systems = intertwiner_systems(gens)
+def null_spaces(letters: np.ndarray, stage):
+    """The two intertwiner systems of generator_letters(gens) and the dimensions
+    (antilinear, commutant) of their null spaces."""
+    systems = intertwiner_systems(letters)
     sv = np.linalg.svd(systems, compute_uv=False)
     rel = sv / np.maximum(sv[:, :1], np.finfo(float).tiny)
     null = rel <= NULL_TOL
@@ -496,8 +518,11 @@ def _shape_forms(dims) -> tuple:
     return ()
 
 
-def _shape_conjugator(verdict: str, systems: np.ndarray, comm: int) -> Optional[GroupElement]:
-    """The verdict's conjugator read off the null spaces, or None where they give none."""
+def _shape_conjugator(
+    verdict: str, systems: np.ndarray, comm: int
+) -> Optional[Tuple[GroupElement, float]]:
+    """The verdict's conjugator read off the null spaces with its membership residual,
+    or None where they give none."""
     try:
         if verdict == REAL_FORM:
             return _real_form_conjugator(_null_basis(systems[0], 1)[0])
@@ -510,19 +535,20 @@ def _shape_conjugator(verdict: str, systems: np.ndarray, comm: int) -> Optional[
 
 
 def null_space_construct(
-    gens: Sequence[GroupElement], systems: np.ndarray, dims, bound: float, stage
+    letters: np.ndarray, systems: np.ndarray, dims, bound: float, stage
 ) -> Optional[ClassificationResult]:
     """The first conjugator of the shape certified at the generators within bound, or None.
 
-    systems and dims are what null_spaces returns.
+    letters is generator_letters(gens); systems and dims are what null_spaces returns.
     """
     for verdict in _shape_forms(dims):
-        d = _shape_conjugator(verdict, systems, dims[1])
-        if d is None:
+        built = _shape_conjugator(verdict, systems, dims[1])
+        if built is None:
             stage("null_space_conjugator", "undecided", None)
             continue
-        stage("null_space_conjugator", verdict, float(su31_residual(d.entries)), CONJUGATOR_TOL)
-        certificate, relative = _certificate(verdict, conjugated_generators(d, gens))
+        d, residual = built
+        stage("null_space_conjugator", verdict, float(residual), CONJUGATOR_TOL)
+        certificate, relative = _certificate(verdict, conjugated_generators(d, letters))
         stage("certificate", "ok" if relative <= bound else "above_bound", relative, bound)
         if relative <= bound:
             return ClassificationResult(verdict, conjugator=d, certificate=certificate)
@@ -537,12 +563,13 @@ def classify_group(
     """Full pipeline; every input gets a verdict, and no exception of a stage leaves it.
 
     In order: a word count over the budget is Inconclusive before anything
-    runs; the null spaces; for dimensions (0, 1) the witness scan; the
-    conjugator for the shape, certified at the generators, which ends the call
-    so that a positive verdict does not depend on the length bound; the
-    witness scan, if no conjugator is certified; Inconclusive, if that scan
-    finds no witness.  A record that compares its residual with a tolerance
-    carries it as ``tol``.
+    runs; the traces of the generators and their inverses, the first non-real
+    one in enumeration order being the witness; the null spaces; for
+    dimensions (0, 1) the witness scan; the conjugator for the shape,
+    certified at the generators, which ends the call so that a positive
+    verdict does not depend on the length bound; the witness scan, if no
+    conjugator is certified; Inconclusive, if that scan finds no witness.  A
+    record that compares its residual with a tolerance carries it as ``tol``.
 
     Word length, tolerances and budget come from ``config`` alone; ``max_length``
     only builds the default config when none is passed.
@@ -556,31 +583,37 @@ def classify_group(
             record["tol"] = tol
         stages.append(record)
 
-    def witness_verdict() -> Optional[ClassificationResult]:
-        witness = find_trace_witness(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
-        if witness is None:
-            return None
-        im_trace = abs(witness.trace.imag)
+    def witness_verdict(word, im_trace) -> ClassificationResult:
         stage("trace_reality", NOT_REAL, im_trace, cfg.tol_real)
         return ClassificationResult(
             NOT_REAL_TRACE,
             certificate=im_trace,
-            witness=witness.word,
+            witness=word,
             reason="a word has non-real trace",
         )
+
+    def scan_verdict() -> Optional[ClassificationResult]:
+        witness = find_trace_witness(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
+        return None if witness is None else witness_verdict(witness.word, abs(witness.trace.imag))
 
     count = reduced_word_count(len(gens), cfg.max_word_length)
     if count > cfg.budget:
         stage("enumeration", "budget_exceeded", None)
         reason = str(BudgetExceeded(count, cfg.budget))
         return ClassificationResult(INCONCLUSIVE, reason=reason, stages=stages)
-    systems, dims = null_spaces(gens, stage)
+    letters = generator_letters(gens)
+    im_traces = np.abs(np.trace(letters, axis1=1, axis2=2).imag).tolist()
+    im_by_letter = dict(zip(_letter_labels(letters), im_traces))
+    for letter in sorted(im_by_letter):  # enumeration order -k, ..., -1, 1, ..., k
+        if im_by_letter[letter] > cfg.tol_real:
+            return replace(witness_verdict((letter,), im_by_letter[letter]), stages=stages)
+    systems, dims = null_spaces(letters, stage)
     scan_first = dims == (0, 1)
-    built = witness_verdict() if scan_first else None
+    built = scan_verdict() if scan_first else None
     if built is None:
-        built = null_space_construct(gens, systems, dims, certificate_bound(cfg.tol_real), stage)
+        built = null_space_construct(letters, systems, dims, certificate_bound(cfg.tol_real), stage)
     if built is None and not scan_first:
-        built = witness_verdict()
+        built = scan_verdict()
     if built is None:
         built = ClassificationResult(
             INCONCLUSIVE,

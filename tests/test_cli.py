@@ -1,14 +1,16 @@
 import json
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from su31cert.cli import main
 from su31cert.hermitian import matrix_from_json, matrix_to_json, su31_residual
-from su31cert.corpus import real_form_corpus
+from su31cert.corpus import generic_corpus, real_form_corpus
 
 
 def write_generators(path, gens):
@@ -66,6 +68,15 @@ class TestClassifyCommand:
         assert lines == [
             f"stage {s['name']}: {s['status']} (residual {s['residual']})" for s in stages
         ]
+
+    def test_generic_group_prints_one_stage_record(self, tmp_path, capsys):
+        f = tmp_path / "gens.json"
+        write_generators(f, generic_corpus(0))
+        code, out, _ = run(capsys, "classify", "--generators", str(f), "--max-word-len", "8")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "not_real_trace"
+        assert [s["name"] for s in report["stages"]] == ["trace_reality"]
 
     def test_out_file_and_determinism(self, tmp_path, capsys):
         f = tmp_path / "gens.json"
@@ -201,8 +212,14 @@ class TestGenCorpus:
 class TestCommandSurface:
     def test_import_leaves_scipy_out(self):
         code = "import sys, su31cert.cli; print('scipy' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.stdout.strip() == "False"
 

@@ -26,6 +26,7 @@ from su31cert.engine import (
     normalize_group,
     relative_certificate,
     NULL_TOL,
+    generator_letters,
     intertwiner_systems,
 )
 from su31cert.hermitian import identity_element, norm_max, su31_inverse
@@ -312,7 +313,7 @@ class TestGeneratorCertificate:
 
         gens = real_form_corpus(3, conjugate=False)
         with pytest.raises(BlockViolation) as exc:
-            case1_certify(conjugated_generators(identity_element(), gens))
+            case1_certify(conjugated_generators(identity_element(), generator_letters(gens)))
         assert exc.value.word in ((1,), (-1,), (2,), (-2,))
 
 
@@ -386,7 +387,7 @@ class TestConstructionFirst:
         gens = near_real(product_form_corpus(4), eps, 4)
         lifted = classify_group(gens, config=AnalysisConfig(tol_real=1.0))
         rel = relative_certificate(
-            lifted.verdict, conjugated_generators(lifted.conjugator, gens)
+            lifted.verdict, conjugated_generators(lifted.conjugator, generator_letters(gens))
         )
         assert (rel <= certificate_bound()) == certified, rel
         scan = trace_reality_report(gens, 4)
@@ -404,11 +405,48 @@ class TestConstructionFirst:
         for seed in range(5):
             gens = make(seed)
             res = classify_group(gens, 4)
-            letters = conjugated_generators(res.conjugator, gens)
+            letters = conjugated_generators(res.conjugator, generator_letters(gens))
             assert relative_certificate(res.verdict, letters) <= certificate_bound()
 
     def test_one_certificate_tolerance(self):
         assert "tol_cert" not in AnalysisConfig().to_json()
+
+
+class TestGeneratorTracesFirst:
+    """A generator with |Im tr| > tol_real is the witness before any null space is built."""
+
+    @pytest.mark.parametrize("length", [4, 8])
+    def test_generic_groups_never_reach_the_null_spaces(self, monkeypatch, length):
+        def no_null_spaces(*args, **kwargs):
+            raise AssertionError("classify_group built the null spaces")
+
+        monkeypatch.setattr(engine, "null_spaces", no_null_spaces)
+        for seed in range(10):
+            gens = generic_corpus(seed)
+            res = classify_group(gens, length)
+            assert res.verdict == NOT_REAL_TRACE, (seed, res.reason)
+            assert [s["name"] for s in res.stages] == ["trace_reality"]
+            assert res.stages[0]["tol"] == AnalysisConfig.tol_real
+            assert res.witness == trace_reality_report(gens, length).witness_word
+            assert abs(recheck_certificate(gens, res) - res.certificate) <= 1e-12 * max(
+                1.0, res.certificate
+            )
+
+    def test_non_real_generator_trace_beats_a_relative_certificate(self):
+        # real_form corpus 2, both generators to the 12th power, the second times
+        # exp(5e-12 X): with |g|_max about 6e3 the relative certificate of the
+        # real-form conjugator is within the bound, yet |Im tr| of the second
+        # generator is 4.07e-8
+        g1, g2 = real_form_corpus(2)
+        x = random_su31_algebra(np.random.default_rng(10_002))
+        x /= norm_max(x)
+        a = np.linalg.matrix_power(g1.entries, 12)
+        b = np.linalg.matrix_power(g2.entries, 12) @ expm(5e-12 * x)
+        gens = [GroupElement(a), GroupElement(b)]  # membership residual 1.1e-8
+        res = classify_group(gens, 4)
+        assert res.verdict == NOT_REAL_TRACE, res.reason
+        assert res.witness == (-2,)
+        assert recheck_certificate(gens, res) > AnalysisConfig.tol_real
 
 
 class TestRealPlaneStabilizer:
@@ -465,7 +503,7 @@ def word_of(gens, word):
 def assert_certified(gens, res, verdict):
     assert res.verdict == verdict, res.reason
     assert abs(recheck_certificate(gens, res) - res.certificate) <= 1e-12
-    letters = conjugated_generators(res.conjugator, gens)
+    letters = conjugated_generators(res.conjugator, generator_letters(gens))
     assert relative_certificate(res.verdict, letters) <= certificate_bound()
 
 
@@ -479,7 +517,7 @@ class TestNullSpaceConstruction:
         eye = np.eye(4)
         anti = np.vstack([np.kron(m.conj(), eye) - np.kron(eye, m.T) for m in letters])
         comm = np.vstack([np.kron(m, eye) - np.kron(eye, m.T) for m in letters])
-        systems = intertwiner_systems(gens)
+        systems = intertwiner_systems(generator_letters(gens))
         assert systems.shape == (2, 64, 16)
         assert norm_max(systems[0] - anti) <= 1e-15
         assert norm_max(systems[1] - comm) <= 1e-15
@@ -489,9 +527,11 @@ class TestNullSpaceConstruction:
     )
     def test_dimensions_by_kind(self, kind, dims):
         for seed in range(10):
-            res = classify_group(make_corpus(kind, seed), 4)
-            assert res.stages[0]["name"] == "null_space"
-            assert res.stages[0]["status"] == f"dims {dims}"
+            records = []
+            letters = generator_letters(make_corpus(kind, seed))
+            engine.null_spaces(letters, lambda *record: records.append(record))
+            assert records[0][0] == "null_space"
+            assert records[0][1] == f"dims {dims}"
 
     @pytest.mark.parametrize("kind", ["real_form", "product_form"])
     def test_positive_verdict_records_every_residual_against_its_tolerance(self, kind):
@@ -510,7 +550,9 @@ class TestNullSpaceConstruction:
         assert words_walked[0] == 0
 
     def test_no_intertwiner_goes_straight_to_the_scan(self):
-        res = classify_group(generic_corpus(0), 8)
+        # generator traces within tol_real (|Im tr| 2.8e-9), dimensions (0, 1),
+        # witness (-2, -2)
+        res = classify_group(near_real(product_form_corpus(0), 1e-8, 0), 8)
         assert [s["name"] for s in res.stages] == ["null_space", "trace_reality"]
         assert res.verdict == NOT_REAL_TRACE
 
