@@ -7,9 +7,8 @@ eigen_solve and classify are timed on every word up to L of corpus 0 of each
 kind, and normalize_loxodromic on the real-trace loxodromic words among them
 (the words of the spectral_L5 benchmark at L=5).  classify_group is timed on
 corpora 0-9 of each kind at the lengths of the certify_L7 and reject_L8
-benchmarks (7, and 8 for generic), and the null-space step alone on the same
-corpora.  Each call is timed alone with time.perf_counter over --passes
-passes; a call that raises counts its time.
+benchmarks (7, and 8 for generic).  Each call is timed alone with
+time.perf_counter over --passes passes; a call that raises counts its time.
 
 Usage:
     python3 scripts/time_elements.py --length 5 --passes 3
@@ -25,10 +24,6 @@ from su31cert.config import AnalysisConfig
 
 GROUP_LENGTHS = {"real_form": 7, "product_form": 7, "generic": 8}
 GROUP_SEEDS = range(10)
-
-
-def no_record(*record):
-    """A stage callback that keeps nothing."""
 
 
 def median_ms(fn, words, passes: int) -> float:
@@ -82,16 +77,6 @@ def main(argv=None) -> int:
 
         ms = median_ms(classify_group, groups[kind], args.passes)
         print(f"{'classify_group':<21} {ms:.3f} ms  ({kind}, L={length}, corpora 0-9)")
-    bound = engine.certificate_bound()
-
-    def null_space_construct(gens):
-        letters = engine.generator_letters(gens)
-        systems, dims = engine.null_spaces(letters, no_record)
-        return engine.null_space_construct(letters, systems, dims, bound, no_record)
-
-    for kind, sample in groups.items():
-        ms = median_ms(null_space_construct, sample, args.passes)
-        print(f"{'null_space_construct':<21} {ms:.3f} ms  ({kind}, corpora 0-9)")
     return 0
 
 

@@ -17,8 +17,8 @@ COMPLEX_LINE = "complex_line"
 LAGRANGIAN = "lagrangian"
 GENERIC = "generic"
 
-DEFAULT_TOL_DEG = 1e-10
-DEFAULT_TOL_ANGLE = 1e-8
+DEFAULT_TOL_DEG = 1e-10   # a pairwise product below this times the lifts' norms: degenerate triple
+DEFAULT_TOL_ANGLE = 1e-8  # |invariant| within this of pi/2 or of 0: complex line or Lagrangian
 
 
 class DegenerateTriple(ValueError):
@@ -36,33 +36,24 @@ class BoundaryTriple:
         return (self.x1.lift, self.x2.lift, self.x3.lift)
 
 
-def _pairwise_products(t: BoundaryTriple, tol_deg: float):
+def cartan_invariant(t: BoundaryTriple) -> float:
+    """arg(-<x1,x2><x2,x3><x3,x1>) in (-pi, pi], lift-independent, in [-pi/2, pi/2]."""
     v1, v2, v3 = t.lifts
     prods = (herm_inner(v1, v2), herm_inner(v2, v3), herm_inner(v3, v1))
     norms = [float(np.linalg.norm(v)) for v in (v1, v2, v3)]
     scales = (norms[0] * norms[1], norms[1] * norms[2], norms[2] * norms[0])
     for p, s in zip(prods, scales):
-        if abs(p) <= tol_deg * s:
+        if abs(p) <= DEFAULT_TOL_DEG * s:
             raise DegenerateTriple(
-                f"pairwise inner product {abs(p):.3e} below {tol_deg:.1e} * norms"
+                f"pairwise inner product {abs(p):.3e} below {DEFAULT_TOL_DEG:.1e} * norms"
             )
-    return prods
+    return float(np.angle(-prods[0] * prods[1] * prods[2]))
 
 
-def cartan_invariant(t: BoundaryTriple, tol_deg: float = DEFAULT_TOL_DEG) -> float:
-    """arg(-<x1,x2><x2,x3><x3,x1>) in (-pi, pi], lift-independent, in [-pi/2, pi/2]."""
-    p12, p23, p31 = _pairwise_products(t, tol_deg)
-    return float(np.angle(-p12 * p23 * p31))
-
-
-def triple_geometry(
-    t: BoundaryTriple,
-    tol_angle: float = DEFAULT_TOL_ANGLE,
-    tol_deg: float = DEFAULT_TOL_DEG,
-) -> str:
-    ang = abs(cartan_invariant(t, tol_deg))
-    if ang >= np.pi / 2 - tol_angle:
+def triple_geometry(t: BoundaryTriple) -> str:
+    ang = abs(cartan_invariant(t))
+    if ang >= np.pi / 2 - DEFAULT_TOL_ANGLE:
         return COMPLEX_LINE
-    if ang <= tol_angle:
+    if ang <= DEFAULT_TOL_ANGLE:
         return LAGRANGIAN
     return GENERIC

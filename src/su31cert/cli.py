@@ -88,12 +88,18 @@ def _load_generators(path: str, tol_form: float):
     return gens
 
 
+def _scan_config(args) -> AnalysisConfig:
+    """The AnalysisConfig of the classify and trace flags; a value it rejects is an InputError."""
+    try:
+        return AnalysisConfig(
+            max_word_length=args.max_word_len, tol_real=args.tol_real, budget=args.budget
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def cmd_classify(args) -> int:
-    cfg = AnalysisConfig(
-        max_word_length=args.max_word_len,
-        tol_real=args.tol_real,
-        budget=args.budget,
-    )
+    cfg = _scan_config(args)
     gens = _load_generators(args.generators, cfg.tol_form)
     result = classify_group(gens, config=cfg)
     for record in result.stages:
@@ -143,8 +149,9 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    gens = _load_generators(args.generators, AnalysisConfig.tol_form)
-    report = trace_reality_report(gens, args.max_word_len, args.tol_real, args.budget)
+    cfg = _scan_config(args)
+    gens = _load_generators(args.generators, cfg.tol_form)
+    report = trace_reality_report(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
     _emit(report.to_json(), args.out)
     return 0
 

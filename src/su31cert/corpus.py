@@ -45,8 +45,8 @@ def random_so31_algebra(rng: np.random.Generator, scale: float = 0.4) -> np.ndar
     return 0.5 * (y - (J @ y.T @ J).real).astype(complex)
 
 
-def random_so31(rng: np.random.Generator, scale: float = 0.4) -> GroupElement:
-    return GroupElement.certify(expm(random_so31_algebra(rng, scale)))
+def random_so31(rng: np.random.Generator) -> GroupElement:
+    return GroupElement.certify(expm(random_so31_algebra(rng)))
 
 
 def so31_loxodromic(rng: np.random.Generator) -> GroupElement:
@@ -61,9 +61,9 @@ def so31_loxodromic(rng: np.random.Generator) -> GroupElement:
     return GroupElement.certify(h @ base @ np.linalg.inv(h))
 
 
-def random_su11_swap(rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
+def random_su11_swap(rng: np.random.Generator) -> np.ndarray:
     """Random element of the 2x2 group preserving the swap form with det 1."""
-    y = scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    y = 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     x = 0.5 * (y - SWAP2 @ y.conj().T @ SWAP2)
     x -= (np.trace(x) / 2.0) * np.eye(2)
     return expm(x)
@@ -75,8 +75,8 @@ def su11_swap_loxodromic(rng: np.random.Generator) -> np.ndarray:
     return k @ np.diag([u, 1.0 / u]).astype(complex) @ np.linalg.inv(k)
 
 
-def random_su2(rng: np.random.Generator, scale: float = 0.8) -> np.ndarray:
-    y = scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    y = 0.8 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     x = 0.5 * (y - y.conj().T)
     x -= (np.trace(x) / 2.0) * np.eye(2)
     return expm(x)
@@ -91,9 +91,8 @@ def embed_block(corner: np.ndarray, middle: np.ndarray) -> GroupElement:
     return GroupElement.certify(m)
 
 
-def product_form_element(rng: np.random.Generator, loxodromic: bool = True) -> GroupElement:
-    corner = su11_swap_loxodromic(rng) if loxodromic else random_su11_swap(rng)
-    return embed_block(corner, random_su2(rng))
+def product_form_element(rng: np.random.Generator) -> GroupElement:
+    return embed_block(su11_swap_loxodromic(rng), random_su2(rng))
 
 
 def _conjugate_all(gens: List[GroupElement], p: GroupElement) -> List[GroupElement]:
@@ -113,7 +112,7 @@ def real_form_corpus(seed: int, n_gens: int = 2, conjugate: bool = True) -> List
 def product_form_corpus(seed: int, n_gens: int = 2, conjugate: bool = True) -> List[GroupElement]:
     """Generators of a group conjugate to a subgroup of the block SU(1,1)xSU(2)."""
     rng = np.random.default_rng(seed)
-    gens = [product_form_element(rng, loxodromic=True) for _ in range(n_gens)]
+    gens = [product_form_element(rng) for _ in range(n_gens)]
     if not conjugate:
         return gens
     return _conjugate_all(gens, random_su31(rng))

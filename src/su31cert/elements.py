@@ -22,7 +22,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import AnalysisConfig
 from .hermitian import (
     J,
     BoundaryPoint,
@@ -44,7 +43,7 @@ PIVOT_TOL = 1e-9           # smaller relative pivots are rounding in a singular 
 COLLISION_TOL = 1e-6       # nearer middle eigenvalues are theta in {0, pi}; vectors unreliable
 SELFDUAL_TOL = 1e-10       # the s = t + 1/t split is exact only on a truly palindromic quartic
 EIGEN_TOL = 1e-8           # relative eigenvector residual beyond which no basis is trusted
-NORMAL_FORM_TOL = 1e-8     # floor of the conjugator and normal-form checks, relative to entries
+NORMAL_FORM_TOL = 1e-8     # normalize_loxodromic: real trace, off-circle, conjugator, normal form
 PAIRING_FLOOR = 1e-12      # smaller <c1, c4>: the two null eigenvectors are one boundary point
 
 
@@ -227,7 +226,7 @@ def _cluster_pairs(m: np.ndarray, groups: List[list], scale: float):
     return max(p.residual for p in pairs), pairs, defective
 
 
-def eigen_solve(a, tol: float = EIGEN_TOL) -> EigenDecomposition:
+def eigen_solve(a) -> EigenDecomposition:
     """Eigenpairs of a 4x4 J-isometry from its quartic characteristic polynomial.
 
     Roots are clustered; each cluster contributes its geometric multiplicity
@@ -253,9 +252,9 @@ def eigen_solve(a, tol: float = EIGEN_TOL) -> EigenDecomposition:
         trial = _cluster_pairs(m, coarse, scale)
         if trial[0] < worst:
             worst, pairs, defective = trial
-    if worst > tol * scale:
+    if worst > EIGEN_TOL * scale:
         raise IllConditioned(
-            f"eigenvector residual {worst:.3e} exceeds {tol:.3e} * ||A||"
+            f"eigenvector residual {worst:.3e} exceeds {EIGEN_TOL:.3e} * ||A||"
         )
     pairs.sort(key=lambda p: (-abs(p.value), -p.value.real, -p.value.imag))
     return EigenDecomposition(pairs, defective)
@@ -274,12 +273,12 @@ def _gram_eigh(vectors: np.ndarray):
     return np.linalg.eigh(0.5 * (gram + gram.conj().T))
 
 
-def classify(a, tol: float = SPEC_TOL) -> ElementType:
+def classify(a) -> ElementType:
     """Loxodromic / parabolic / elliptic per the boundary fixed-point trichotomy."""
     m = matrix_of(a)
     eig = eigen_solve(m)
     moduli = np.abs(eig.values)
-    if moduli.max() > 1.0 + tol:
+    if moduli.max() > 1.0 + SPEC_TOL:
         attract = eig.pairs[0]
         repel = min(eig.pairs, key=lambda p: abs(p.value))
         fixed = [
@@ -287,7 +286,7 @@ def classify(a, tol: float = SPEC_TOL) -> ElementType:
             BoundaryPoint.from_vector(repel.vector),
         ]
         return ElementType(LOXODROMIC, fixed)
-    if moduli.min() < 1.0 - tol:
+    if moduli.min() < 1.0 - SPEC_TOL:
         raise AmbiguousClassification(
             f"moduli in [{moduli.min():.9f}, {moduli.max():.9f}] straddle the unit band"
         )
@@ -296,16 +295,16 @@ def classify(a, tol: float = SPEC_TOL) -> ElementType:
     if eig.defective or len(eig.pairs) < 4:
         null_vec = vectors @ vecs[:, int(np.argmin(np.abs(vals)))]
         return ElementType(PARABOLIC, [BoundaryPoint.from_vector(null_vec)])
-    if vals.min() >= -tol:
+    if vals.min() >= -SPEC_TOL:
         raise IllConditioned("unit-modulus diagonalizable element with no negative direction")
     witness = vectors @ vecs[:, int(np.argmin(vals))]
     return ElementType(ELLIPTIC, [], interior_witness=witness)
 
 
-def is_loxodromic(a, tol: float = SPEC_TOL) -> bool:
+def is_loxodromic(a) -> bool:
     """classify's loxodromic rule alone, with no fixed points built; False if ill-conditioned."""
     try:
-        return bool(np.abs(eigen_solve(a).values).max() > 1.0 + tol)
+        return bool(np.abs(eigen_solve(a).values).max() > 1.0 + SPEC_TOL)
     except IllConditioned:
         return False
 
@@ -337,7 +336,7 @@ def _j_orthonormalize_positive(vectors: np.ndarray) -> np.ndarray:
     return np.column_stack(out)
 
 
-def normalize_loxodromic(a, tol: float = AnalysisConfig.tol_real) -> LoxodromicNormalForm:
+def normalize_loxodromic(a) -> LoxodromicNormalForm:
     """Conjugate a real-trace loxodromic to diag(u, e^{i theta}, e^{-i theta}, 1/u).
 
     Columns of the conjugator C: attracting null eigenvector, two J-unit
@@ -348,15 +347,15 @@ def normalize_loxodromic(a, tol: float = AnalysisConfig.tol_real) -> LoxodromicN
     """
     m = matrix_of(a)
     tr = np.trace(m)
-    if abs(tr.imag) > tol * (1.0 + abs(tr)):
+    if abs(tr.imag) > NORMAL_FORM_TOL * (1.0 + abs(tr)):
         raise NotRealTrace(f"Im tr = {tr.imag:.3e}")
     eig = eigen_solve(m)
     moduli = np.abs(eig.values)
-    if moduli.max() <= 1.0 + tol:
+    if moduli.max() <= 1.0 + NORMAL_FORM_TOL:
         raise NotLoxodromic("no eigenvalue off the unit circle")
     attract = eig.pairs[0]
     repel = min(eig.pairs, key=lambda p: abs(p.value))
-    if abs(attract.value.imag) > tol * abs(attract.value):
+    if abs(attract.value.imag) > NORMAL_FORM_TOL * abs(attract.value):
         raise NotRealTrace(f"leading eigenvalue {attract.value} is not real")
     u = float(attract.value.real)
     unit_pairs = [p for p in eig.pairs if p is not attract and p is not repel]
@@ -391,7 +390,7 @@ def normalize_loxodromic(a, tol: float = AnalysisConfig.tol_real) -> LoxodromicN
     detC = np.linalg.det(C)
     C = C * np.exp(-1j * np.angle(detC) / 4.0)
     # Rounding in C* J C and in (J C* J) A C grows with the square of C's entries
-    bound = max(tol, NORMAL_FORM_TOL) * max(1.0, norm_max(C)) ** 2
+    bound = NORMAL_FORM_TOL * max(1.0, norm_max(C)) ** 2
     conj = GroupElement.certify(C, tol=bound)
     diag = np.diag([u, np.exp(1j * theta), np.exp(-1j * theta), 1.0 / u])
     resid = norm_max(su31_inverse(C) @ m @ C - diag)

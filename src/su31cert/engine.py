@@ -1,9 +1,11 @@
 """Group-level certification pipeline.
 
-The cheapest proof comes first: a generator with |Im tr| > tol_real is a
-not_real_trace witness of length 1, the first violator in enumeration order,
-so the call ends there with no conjugator built.  Only groups whose
-generators all have real traces go on to the null spaces.
+classify_group takes the steps below in one function, in the order given.
+Past the word budget, the cheapest proof comes first: a generator with
+|Im tr| > tol_real is a not_real_trace witness of length 1, the first
+violator in enumeration order, so the call ends there with no conjugator
+built.  Only groups whose generators all have real traces go on to the null
+spaces.
 
 If D g D^{-1} is real for every generator g, then M = conj(D)^{-1} D solves
 conj(g) M = M g; if the group lies in a conjugate of SU(1,1)xSU(2), the
@@ -49,7 +51,7 @@ case2_conjugator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +68,6 @@ from .hermitian import (
     su31_residual,
 )
 from .elements import (
-    SPEC_TOL,
     classify,  # noqa: F401  (perfbench's traced run wraps engine.classify)
     is_loxodromic,
     normalize_loxodromic,
@@ -183,15 +184,10 @@ class RealSpanBasis:
     dim: int
 
 
-def find_loxodromic(
-    gens: Sequence[GroupElement],
-    max_length: int,
-    tol: float = SPEC_TOL,
-    budget: int = AnalysisConfig.budget,
-) -> GroupElement:
+def find_loxodromic(gens: Sequence[GroupElement], max_length: int) -> GroupElement:
     """First word (enumeration order) classified loxodromic."""
-    for element in enumerate_words(gens, max_length, budget):
-        if is_loxodromic(element, tol):
+    for element in enumerate_words(gens, max_length):
+        if is_loxodromic(element):
             return element
     raise StageFailure("find_loxodromic", "no loxodromic word within the budget")
 
@@ -204,22 +200,16 @@ def normalize_group(gens: Sequence[GroupElement], a_lox: GroupElement):
     return [GroupElement(c_inv @ g.entries @ c, g.word) for g in gens], nf
 
 
-def find_branch_witness(
-    gens: Sequence[GroupElement],
-    max_length: int,
-    tol_corner: float = CORNER_TOL,
-    tol_spec: float = SPEC_TOL,
-    budget: int = AnalysisConfig.budget,
-) -> GroupElement:
+def find_branch_witness(gens: Sequence[GroupElement], max_length: int) -> GroupElement:
     """First loxodromic word with |d q| above the structural-zero threshold.
 
     Works in normalized coordinates; d and q are the (1,4) and (4,1) entries.
     Absence means every loxodromic found shares an axis endpoint with the
     normalized diagonal, which the caller reports as Inconclusive.
     """
-    for element in enumerate_words(gens, max_length, budget):
+    for element in enumerate_words(gens, max_length):
         m = element.entries
-        if abs(m[0, 3] * m[3, 0]) > tol_corner * norm_max(m) and is_loxodromic(element, tol_spec):
+        if abs(m[0, 3] * m[3, 0]) > CORNER_TOL * norm_max(m) and is_loxodromic(element):
             return element
     raise StageFailure(
         "find_branch_witness",
@@ -228,9 +218,9 @@ def find_branch_witness(
     )
 
 
-def detect_case(b0: GroupElement, tol_rel: float = BRANCH_TOL) -> str:
+def detect_case(b0: GroupElement) -> str:
     """Case I for purely imaginary corners d, q; Case II for real ones (Lemma 2.2)."""
-    branch = lemma22_branch(b0.entries[0, 3], b0.entries[3, 0], tol=tol_rel)
+    branch = lemma22_branch(b0.entries[0, 3], b0.entries[3, 0], tol=BRANCH_TOL)
     return {IMAGINARY_PAIR: CASE_I, REAL_PAIR: CASE_II}.get(branch, CASE_AMBIGUOUS)
 
 
@@ -256,26 +246,19 @@ def _case1_word_residual(m: np.ndarray):
     )
 
 
-def _scaled(residual: float, m: np.ndarray) -> float:
-    """A residual of m relative to its entry scale max(1, |m|_max)."""
-    return residual / max(1.0, norm_max(m))
-
-
 def certificate_bound(tol_real: float = AnalysisConfig.tol_real) -> float:
     """The bound on each relative certificate: tol_real * CERT_SHARE."""
     return tol_real * CERT_SHARE
 
 
-def case1_certify(words: Sequence[GroupElement], tol: Optional[float] = None) -> float:
-    """Max block-form residual over the words; raises BlockViolation above tol * max(1, |m|_max).
-
-    tol defaults to certificate_bound().
-    """
-    tol = certificate_bound() if tol is None else tol
+def case1_certify(words: Sequence[GroupElement]) -> float:
+    """Max block-form residual over the words; raises BlockViolation above
+    certificate_bound() * max(1, |m|_max)."""
+    bound = certificate_bound()
     certificate = 0.0
     for element in words:
         res = _case1_word_residual(element.entries)
-        if _scaled(res, element.entries) > tol:
+        if res / max(1.0, norm_max(element.entries)) > bound:
             raise BlockViolation(element.word, res)
         certificate = max(certificate, res)
     return certificate
@@ -403,23 +386,6 @@ def relative_certificate(verdict: str, letters: Sequence[GroupElement]) -> float
     return _certificate(verdict, letters)[1]
 
 
-def find_trace_witness(
-    gens: Sequence[GroupElement],
-    max_length: int,
-    tol_real: float = AnalysisConfig.tol_real,
-    budget: int = AnalysisConfig.budget,
-) -> Optional[GroupElement]:
-    """First word (enumeration order) with |Im tr| above tol_real, or None.
-
-    This is the word trace_reality_report names on a NotReal verdict; the walk
-    stops there instead of scanning the rest of the tree.
-    """
-    for element in enumerate_words(gens, max_length, budget):
-        if abs(element.trace.imag) > tol_real:
-            return element
-    return None
-
-
 def intertwiner_systems(letters: np.ndarray) -> np.ndarray:
     """The antilinear and the commutant system in row-major vec(M), as a (2, 32k, 16) stack.
 
@@ -534,27 +500,6 @@ def _shape_conjugator(
         return None
 
 
-def null_space_construct(
-    letters: np.ndarray, systems: np.ndarray, dims, bound: float, stage
-) -> Optional[ClassificationResult]:
-    """The first conjugator of the shape certified at the generators within bound, or None.
-
-    letters is generator_letters(gens); systems and dims are what null_spaces returns.
-    """
-    for verdict in _shape_forms(dims):
-        built = _shape_conjugator(verdict, systems, dims[1])
-        if built is None:
-            stage("null_space_conjugator", "undecided", None)
-            continue
-        d, residual = built
-        stage("null_space_conjugator", verdict, float(residual), CONJUGATOR_TOL)
-        certificate, relative = _certificate(verdict, conjugated_generators(d, letters))
-        stage("certificate", "ok" if relative <= bound else "above_bound", relative, bound)
-        if relative <= bound:
-            return ClassificationResult(verdict, conjugator=d, certificate=certificate)
-    return None
-
-
 def classify_group(
     gens: Sequence[GroupElement],
     max_length: int = AnalysisConfig.max_word_length,
@@ -565,11 +510,12 @@ def classify_group(
     In order: a word count over the budget is Inconclusive before anything
     runs; the traces of the generators and their inverses, the first non-real
     one in enumeration order being the witness; the null spaces; for
-    dimensions (0, 1) the witness scan; the conjugator for the shape,
+    dimensions (0, 1) the witness scan; the conjugator of each shape,
     certified at the generators, which ends the call so that a positive
     verdict does not depend on the length bound; the witness scan, if no
-    conjugator is certified; Inconclusive, if that scan finds no witness.  A
-    record that compares its residual with a tolerance carries it as ``tol``.
+    conjugator is certified and it has not run; Inconclusive.  The scan stops
+    at the first reduced word with |Im tr| > tol_real.  A record that
+    compares its residual with a tolerance carries it as ``tol``.
 
     Word length, tolerances and budget come from ``config`` alone; ``max_length``
     only builds the default config when none is passed.
@@ -590,11 +536,14 @@ def classify_group(
             certificate=im_trace,
             witness=word,
             reason="a word has non-real trace",
+            stages=stages,
         )
 
     def scan_verdict() -> Optional[ClassificationResult]:
-        witness = find_trace_witness(gens, cfg.max_word_length, cfg.tol_real, cfg.budget)
-        return None if witness is None else witness_verdict(witness.word, abs(witness.trace.imag))
+        for element in enumerate_words(gens, cfg.max_word_length, cfg.budget):
+            if abs(element.trace.imag) > cfg.tol_real:
+                return witness_verdict(element.word, abs(element.trace.imag))
+        return None
 
     count = reduced_word_count(len(gens), cfg.max_word_length)
     if count > cfg.budget:
@@ -606,19 +555,31 @@ def classify_group(
     im_by_letter = dict(zip(_letter_labels(letters), im_traces))
     for letter in sorted(im_by_letter):  # enumeration order -k, ..., -1, 1, ..., k
         if im_by_letter[letter] > cfg.tol_real:
-            return replace(witness_verdict((letter,), im_by_letter[letter]), stages=stages)
+            return witness_verdict((letter,), im_by_letter[letter])
     systems, dims = null_spaces(letters, stage)
-    scan_first = dims == (0, 1)
-    built = scan_verdict() if scan_first else None
-    if built is None:
-        built = null_space_construct(letters, systems, dims, certificate_bound(cfg.tol_real), stage)
-    if built is None and not scan_first:
-        built = scan_verdict()
-    if built is None:
-        built = ClassificationResult(
-            INCONCLUSIVE,
-            reason=f"null spaces of dimensions {dims} give no conjugator certified at the "
-            f"generators, and no word up to length {cfg.max_word_length} is a witness "
-            "of non-real trace",
-        )
-    return replace(built, stages=stages)
+    scanned = dims == (0, 1)
+    witness = scan_verdict() if scanned else None
+    if witness is not None:
+        return witness
+    bound = certificate_bound(cfg.tol_real)
+    for verdict in _shape_forms(dims):
+        built = _shape_conjugator(verdict, systems, dims[1])
+        if built is None:
+            stage("null_space_conjugator", "undecided", None)
+            continue
+        d, residual = built
+        stage("null_space_conjugator", verdict, float(residual), CONJUGATOR_TOL)
+        absolute, relative = _certificate(verdict, conjugated_generators(d, letters))
+        stage("certificate", "ok" if relative <= bound else "above_bound", relative, bound)
+        if relative <= bound:
+            return ClassificationResult(verdict, conjugator=d, certificate=absolute, stages=stages)
+    witness = None if scanned else scan_verdict()
+    if witness is not None:
+        return witness
+    return ClassificationResult(
+        INCONCLUSIVE,
+        reason=f"null spaces of dimensions {dims} give no conjugator certified at the "
+        f"generators, and no word up to length {cfg.max_word_length} is a witness "
+        "of non-real trace",
+        stages=stages,
+    )

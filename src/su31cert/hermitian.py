@@ -14,6 +14,8 @@ import numpy as np
 
 from .config import AnalysisConfig
 
+BOUNDARY_TOL = 1e-7  # BoundaryPoint.from_vector: |<v, v>| above this share of |v|^2 is not J-null
+
 J = np.array(
     [
         [0, 0, 0, 1],
@@ -137,12 +139,12 @@ class BoundaryPoint:
     lift: np.ndarray
 
     @classmethod
-    def from_vector(cls, v, tol_null: float = 1e-7) -> "BoundaryPoint":
+    def from_vector(cls, v) -> "BoundaryPoint":
         v = as_vector(v)
         nrm2 = float(np.vdot(v, v).real)
         if nrm2 == 0.0:
             raise ValueError("zero vector does not define a boundary point")
-        if abs(herm_inner(v, v)) > tol_null * nrm2:
+        if abs(herm_inner(v, v)) > BOUNDARY_TOL * nrm2:
             raise ValueError(
                 f"vector is not J-null: |<v,v>| = {abs(herm_inner(v, v)):.3e}"
             )

@@ -124,7 +124,7 @@ def trace_reality_report(
     return TraceReport(ALL_REAL, max_im, argmax_word, count)
 
 
-def lemma22_branch(a: complex, b: complex, tol: float = 1e-9, tol_abs: float = 1e-12) -> str:
+def lemma22_branch(a: complex, b: complex, tol: float = 1e-9) -> str:
     """Dichotomy for nonzero a, b with ab and a*conj(b) real.
 
     Returns REAL_PAIR, IMAGINARY_PAIR, or HYPOTHESIS_FAILED; exactly one of
@@ -132,7 +132,7 @@ def lemma22_branch(a: complex, b: complex, tol: float = 1e-9, tol_abs: float = 1
     """
     a = complex(a)
     b = complex(b)
-    if abs(a) < tol_abs or abs(b) < tol_abs:
+    if abs(a) < 1e-12 or abs(b) < 1e-12:
         raise ZeroInput("inputs must be nonzero")
     scale = abs(a) * abs(b)
     if abs((a * b).imag) > tol * scale or abs((a * np.conj(b)).imag) > tol * scale:

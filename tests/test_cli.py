@@ -246,6 +246,21 @@ class TestErrorPaths:
         assert code == 1
         assert "exceeds budget" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("command", ["classify", "trace"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-word-len", "0"), ("--tol-real", "-1"), ("--tol-real", "0"), ("--budget", "0")],
+    )
+    def test_bad_analysis_flag_is_input_error(self, tmp_path, capsys, command, flag, value):
+        f = tmp_path / "gens.json"
+        write_generators(f, real_form_corpus(0))
+        code, out, err = run(capsys, command, "--generators", str(f), flag, value)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
+
     def test_element_normal_form_failure_is_reported(
         self, tmp_path, capsys, failing_normalization
     ):

@@ -214,6 +214,10 @@ class TestClassifyGroup:
         res = classify_group([diag_lox()], 4)
         assert res.verdict == INCONCLUSIVE
         assert "corner" in res.reason or "witness" in res.reason
+        assert [(s["name"], s["status"]) for s in res.stages] == [
+            ("null_space", "dims (4, 4)"),
+            ("null_space_conjugator", "undecided"),
+        ]
 
     def test_conjugator_actually_realifies(self):
         gens = real_form_corpus(9)
@@ -239,6 +243,8 @@ class TestClassifyGroup:
         res = classify_group(real_form_corpus(1), 4, cfg)
         assert res.verdict == INCONCLUSIVE
         assert "budget" in res.reason
+        records = [(s["name"], s["status"]) for s in res.stages]
+        assert records == [("enumeration", "budget_exceeded")]
 
     def test_report_json_shape(self):
         cfg = AnalysisConfig()
@@ -459,6 +465,12 @@ class TestRealPlaneStabilizer:
         for seed in range(40):
             res = classify_group(so21_group(seed), config=cfg)
             assert res.verdict == INCONCLUSIVE, (seed, res.verdict, res.reason)
+            assert [(s["name"], s["status"]) for s in res.stages] == [
+                ("null_space", "dims (2, 2)"),
+                ("null_space_conjugator", "undecided"),
+            ], seed
+            assert res.stages[1]["residual"] is None
+            assert "(2, 2)" in res.reason
 
 
 class TestComplexLineStabilizer:
@@ -471,6 +483,11 @@ class TestComplexLineStabilizer:
             gens = c_fuchsian_group(seed)
             res = classify_group(gens, config=cfg)
             assert res.stages[0]["status"] == "dims (5, 5)", seed
+            assert [s["name"] for s in res.stages] == [
+                "null_space",
+                "null_space_conjugator",
+                "certificate",
+            ], seed
             assert_certified(gens, res, COMPACT_PRODUCT_FORM)
 
 
