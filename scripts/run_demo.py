@@ -2,9 +2,11 @@
 """End-to-end demo: build seeded generator corpora and classify each one.
 
 For every corpus kind (real_form, product_form, generic) and each seed the
-script runs the full pipeline -- trace-reality scan, loxodromic search,
-diagonal normalization, branch detection, conjugator construction -- and
-prints the verdict plus the numerical certificate.
+script runs the full pipeline of classify_group -- the generators' traces, the
+null spaces of the intertwiner systems, the conjugator of their shape
+certified at the generators, and the reduced-word trace scan when no
+conjugator is certified -- and prints the verdict plus the numerical
+certificate.
 
 Usage:
     python3 scripts/run_demo.py --seeds 5 --max-word-len 4

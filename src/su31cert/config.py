@@ -16,8 +16,8 @@ class AnalysisConfig:
         if self.max_word_length < 1:
             raise ValueError("max_word_length must be >= 1")
         for name in ("tol_form", "tol_real"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be positive and finite")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 

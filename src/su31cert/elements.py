@@ -7,12 +7,11 @@ and the spectrum pairs up as {u, 1/u, e^{i theta}, e^{-i theta}}.  That
 structure drives both the loxodromic/parabolic/elliptic classification and
 the diagonal normal form used by the conjugation engine.
 
-The quartic is kept over np.linalg.eigvals.  eigvals splits the 3x3 Jordan
-block of a conjugated horizontal Heisenberg translation by ~eps^(1/3) and
-tags 19 of 50 such parabolics loxodromic; the quartic tags all 50 parabolic.
-Its one gain: normalize_loxodromic would raise NotInGroup on 0 instead of 54
-of the 64280 loxodromic words up to L=5 of real_form and product_form corpora
-0-69, whose middle eigenvalues lie close enough to lose J-orthogonality.
+The quartic is kept over np.linalg.eigvals for the parabolic tagging: eigvals
+splits the 3x3 Jordan block of a conjugated horizontal Heisenberg translation
+by ~eps^(1/3) and tags 19 of 50 such parabolics loxodromic; the quartic tags
+all 50.  Close middle eigenvalues cost their eigenvectors J-orthogonality;
+normalize_loxodromic restores it in the J-complement of the null pair.
 """
 
 from __future__ import annotations
@@ -292,13 +291,13 @@ def classify(a) -> ElementType:
         )
     vectors = np.column_stack([p.vector for p in eig.pairs])
     vals, vecs = _gram_eigh(vectors)
+    if vals.min() < -SPEC_TOL:
+        witness = vectors @ vecs[:, int(np.argmin(vals))]
+        return ElementType(ELLIPTIC, [], interior_witness=witness)
     if eig.defective or len(eig.pairs) < 4:
         null_vec = vectors @ vecs[:, int(np.argmin(np.abs(vals)))]
         return ElementType(PARABOLIC, [BoundaryPoint.from_vector(null_vec)])
-    if vals.min() >= -SPEC_TOL:
-        raise IllConditioned("unit-modulus diagonalizable element with no negative direction")
-    witness = vectors @ vecs[:, int(np.argmin(vals))]
-    return ElementType(ELLIPTIC, [], interior_witness=witness)
+    raise IllConditioned("unit-modulus diagonalizable element with no negative direction")
 
 
 def is_loxodromic(a) -> bool:
@@ -339,11 +338,12 @@ def _j_orthonormalize_positive(vectors: np.ndarray) -> np.ndarray:
 def normalize_loxodromic(a) -> LoxodromicNormalForm:
     """Conjugate a real-trace loxodromic to diag(u, e^{i theta}, e^{-i theta}, 1/u).
 
-    Columns of the conjugator C: attracting null eigenvector, two J-unit
-    positive eigenvectors, repelling null eigenvector with <c1, c4> = 1, the
-    whole matrix phase-scaled to det 1.  Raises NotRealTrace / NotLoxodromic
-    when the preconditions fail and handles the theta in {0, pi} eigenvalue
-    collision by J-orthonormalizing the two-dimensional positive eigenspace.
+    Columns of the conjugator C: attracting null eigenvector, a J-orthonormal
+    basis of the middle plane, repelling null eigenvector with <c1, c4> = 1,
+    the whole matrix phase-scaled to det 1.  The middle plane is spanned by the
+    two unit-modulus eigenvectors, or by the null space of A - lambda I at a
+    theta in {0, pi} collision, projected onto the J-complement of the null pair.
+    Raises NotRealTrace / NotLoxodromic when the preconditions fail.
     """
     m = matrix_of(a)
     tr = np.trace(m)
@@ -363,37 +363,31 @@ def normalize_loxodromic(a) -> LoxodromicNormalForm:
         abs(unit_pairs[0].value - unit_pairs[1].value) <= COLLISION_TOL
     )
     if collided:
-        # theta in {0, pi}: degenerate middle eigenspace, take any J-orthonormal basis
+        # theta in {0, pi}: the middle eigenspace is the null space of A - lambda I
         lam = complex(np.mean([p.value for p in unit_pairs]))
-        shifted = m - lam * np.eye(4)
-        basis = _null_space(shifted, 2)
-        c_mid = _j_orthonormalize_positive(basis)
+        basis = _null_space(m - lam * np.eye(4), 2)
         theta = 0.0 if lam.real > 0 else float(np.pi)
     else:
         p_pos = max(unit_pairs, key=lambda p: p.value.imag)
         p_neg = min(unit_pairs, key=lambda p: p.value.imag)
+        basis = np.column_stack([p_pos.vector, p_neg.vector])
         theta = float(np.angle(p_pos.value))
-        c2 = p_pos.vector
-        c3 = p_neg.vector
-        n2 = herm_inner(c2, c2).real
-        n3 = herm_inner(c3, c3).real
-        if n2 <= 0 or n3 <= 0:
-            raise IllConditioned("middle eigenvectors are not J-positive")
-        c_mid = np.column_stack([c2 / np.sqrt(n2), c3 / np.sqrt(n3)])
     c1 = attract.vector
     c4 = repel.vector
     pairing = herm_inner(c1, c4)
     if abs(pairing) < PAIRING_FLOOR:
         raise IllConditioned("degenerate pairing between the null eigenvectors")
     c4 = c4 / np.conj(pairing)
+    basis = basis - np.outer(c1, c4.conj() @ J @ basis) - np.outer(c4, c1.conj() @ J @ basis)
+    c_mid = _j_orthonormalize_positive(basis)
     C = np.column_stack([c1, c_mid[:, 0], c_mid[:, 1], c4])
     detC = np.linalg.det(C)
     C = C * np.exp(-1j * np.angle(detC) / 4.0)
     # Rounding in C* J C and in (J C* J) A C grows with the square of C's entries
     bound = NORMAL_FORM_TOL * max(1.0, norm_max(C)) ** 2
     conj = GroupElement.certify(C, tol=bound)
-    diag = np.diag([u, np.exp(1j * theta), np.exp(-1j * theta), 1.0 / u])
-    resid = norm_max(su31_inverse(C) @ m @ C - diag)
+    nf = LoxodromicNormalForm(u, theta, conj)
+    resid = norm_max(su31_inverse(C) @ m @ C - nf.diagonal)
     if resid > bound * max(1.0, norm_max(m)):
         raise IllConditioned(f"normal-form residual {resid:.3e}")
-    return LoxodromicNormalForm(u, theta, conj)
+    return nf

@@ -249,7 +249,14 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["classify", "trace"])
     @pytest.mark.parametrize(
         "flag, value",
-        [("--max-word-len", "0"), ("--tol-real", "-1"), ("--tol-real", "0"), ("--budget", "0")],
+        [
+            ("--max-word-len", "0"),
+            ("--tol-real", "-1"),
+            ("--tol-real", "0"),
+            ("--tol-real", "nan"),
+            ("--tol-real", "inf"),
+            ("--budget", "0"),
+        ],
     )
     def test_bad_analysis_flag_is_input_error(self, tmp_path, capsys, command, flag, value):
         f = tmp_path / "gens.json"
@@ -285,10 +292,10 @@ class TestRealPlaneStabilizer:
         assert code == 2
         assert json.loads(out)["verdict"] == "inconclusive"
 
-    def test_element_reports_a_classification_error(self, tmp_path, capsys, so21_group):
+    def test_element_reports_the_word_elliptic(self, tmp_path, capsys, so21_group):
         _, g2 = so21_group(2)
         f = tmp_path / "w.json"
         f.write_text(json.dumps(matrix_to_json((g2 @ g2).entries)))
         code, out, _ = run(capsys, "element", "--matrix", str(f))
-        assert code == 2
-        assert "not J-null" in json.loads(out)["classification_error"]
+        assert code == 0
+        assert json.loads(out) == {"type": "elliptic"}
