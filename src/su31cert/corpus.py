@@ -100,19 +100,19 @@ def _conjugate_all(gens: List[GroupElement], p: GroupElement) -> List[GroupEleme
     return [GroupElement.certify(p.entries @ g.entries @ p_inv) for g in gens]
 
 
-def real_form_corpus(seed: int, n_gens: int = 2, conjugate: bool = True) -> List[GroupElement]:
-    """Generators of a group conjugate to a subgroup of SO(3,1)."""
+def real_form_corpus(seed: int, conjugate: bool = True) -> List[GroupElement]:
+    """Two generators of a group conjugate to a subgroup of SO(3,1)."""
     rng = np.random.default_rng(seed)
-    gens = [so31_loxodromic(rng) for _ in range(n_gens)]
+    gens = [so31_loxodromic(rng) for _ in range(2)]
     if not conjugate:
         return gens
     return _conjugate_all(gens, random_su31(rng))
 
 
-def product_form_corpus(seed: int, n_gens: int = 2, conjugate: bool = True) -> List[GroupElement]:
-    """Generators of a group conjugate to a subgroup of the block SU(1,1)xSU(2)."""
+def product_form_corpus(seed: int, conjugate: bool = True) -> List[GroupElement]:
+    """Two generators of a group conjugate to a subgroup of the block SU(1,1)xSU(2)."""
     rng = np.random.default_rng(seed)
-    gens = [product_form_element(rng) for _ in range(n_gens)]
+    gens = [product_form_element(rng) for _ in range(2)]
     if not conjugate:
         return gens
     return _conjugate_all(gens, random_su31(rng))
@@ -131,7 +131,7 @@ CORPUS_KINDS = {
 }
 
 
-def make_corpus(kind: str, seed: int, n_gens: int = 2) -> List[GroupElement]:
+def make_corpus(kind: str, seed: int) -> List[GroupElement]:
     if kind not in CORPUS_KINDS:
         raise ValueError(f"unknown corpus kind {kind!r}; choose from {sorted(CORPUS_KINDS)}")
-    return CORPUS_KINDS[kind](seed, n_gens)
+    return CORPUS_KINDS[kind](seed)

@@ -26,6 +26,7 @@ from .hermitian import (
     BoundaryPoint,
     GroupElement,
     herm_inner,
+    j_gram,
     matrix_of,
     norm_max,
     su31_inverse,
@@ -266,12 +267,6 @@ class ElementType:
     interior_witness: Optional[np.ndarray] = None
 
 
-def _gram_eigh(vectors: np.ndarray):
-    """Eigenvalues and eigenvectors (coefficients on ``vectors``) of V* J V."""
-    gram = vectors.conj().T @ J @ vectors
-    return np.linalg.eigh(0.5 * (gram + gram.conj().T))
-
-
 def classify(a) -> ElementType:
     """Loxodromic / parabolic / elliptic per the boundary fixed-point trichotomy."""
     m = matrix_of(a)
@@ -290,7 +285,7 @@ def classify(a) -> ElementType:
             f"moduli in [{moduli.min():.9f}, {moduli.max():.9f}] straddle the unit band"
         )
     vectors = np.column_stack([p.vector for p in eig.pairs])
-    vals, vecs = _gram_eigh(vectors)
+    vals, vecs = np.linalg.eigh(j_gram(vectors))
     if vals.min() < -SPEC_TOL:
         witness = vectors @ vecs[:, int(np.argmin(vals))]
         return ElementType(ELLIPTIC, [], interior_witness=witness)
@@ -322,17 +317,12 @@ class LoxodromicNormalForm:
 
 
 def _j_orthonormalize_positive(vectors: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt with herm_inner on a J-positive-definite span."""
-    out = []
-    for v in vectors.T:
-        w = v.copy()
-        for u in out:
-            w = w - herm_inner(w, u) * u
-        nrm = herm_inner(w, w).real
-        if nrm <= 0:
-            raise IllConditioned("expected J-positive eigenspace")
-        out.append(w / np.sqrt(nrm))
-    return np.column_stack(out)
+    """Gram-Schmidt in J on a J-positive-definite span: V L^{-*} for the Cholesky L L* = V* J V."""
+    try:
+        factor = np.linalg.cholesky(j_gram(vectors))
+    except np.linalg.LinAlgError:
+        raise IllConditioned("expected J-positive eigenspace") from None
+    return vectors @ np.linalg.inv(factor).conj().T
 
 
 def normalize_loxodromic(a) -> LoxodromicNormalForm:

@@ -58,10 +58,9 @@ import numpy as np
 
 from .config import AnalysisConfig
 from .hermitian import (
-    J,
     GroupElement,
     NotInGroup,
-    herm_inner,
+    j_gram,
     matrix_to_json,
     norm_max,
     su31_inverse,
@@ -286,7 +285,7 @@ def case2_build_real_span(words: Sequence[GroupElement]) -> RealSpanBasis:
         if sv[-1] > SPAN_RANK_TOL * sv[0]:
             basis.append(v)
     scale = max(float(np.linalg.norm(v)) for v in basis)
-    gram_c = np.array([[herm_inner(vj, vi) for vj in basis] for vi in basis])
+    gram_c = j_gram(np.column_stack(basis))
     im = np.abs(gram_c.imag)
     worst = divmod(int(np.argmax(im)), len(basis))
     worst_im = float(im[worst])
@@ -315,9 +314,7 @@ def _real_congruence(w: np.ndarray) -> Tuple[GroupElement, float]:
     R is assembled from the symmetric eigendecomposition of the Gram matrix, so
     D M D^{-1} is real wherever W^{-1} M W is.
     """
-    gram = w.conj().T @ J @ w
-    gram = 0.5 * (gram + gram.conj().T).real
-    vals, q = np.linalg.eigh(gram)
+    vals, q = np.linalg.eigh(j_gram(w).real)
     scale = float(np.max(np.abs(vals)))
     tol = CONJUGATOR_TOL * scale
     if vals[0] > -tol or vals[1] < tol or (vals[1:] <= 0).any():
@@ -438,8 +435,7 @@ def _product_form_conjugator(commutant: np.ndarray) -> Optional[Tuple[GroupEleme
         return None
     proj = 0.5 * (np.eye(4) + c / np.sqrt(a2))
     planes = np.linalg.svd(np.stack([proj, np.eye(4) - proj]))[0][:, :, :2]
-    grams = planes.conj().transpose(0, 2, 1) @ J @ planes
-    vals, vecs = np.linalg.eigh(0.5 * (grams + grams.conj().transpose(0, 2, 1)))
+    vals, vecs = np.linalg.eigh(j_gram(planes))
     tol = CONJUGATOR_TOL * np.abs(vals).max()
     lorentz = vals[:, 0] < -tol
     if (np.abs(vals) <= tol).any() or lorentz.sum() != 1:

@@ -61,6 +61,12 @@ def herm_inner(z, w) -> complex:
     return complex(np.conj(w) @ (J @ z))
 
 
+def j_gram(v) -> np.ndarray:
+    """The J-Gram matrix V* J V of the columns of v, made exactly Hermitian; v may be a stack."""
+    gram = np.swapaxes(v.conj(), -1, -2) @ J @ v
+    return 0.5 * (gram + np.swapaxes(gram.conj(), -1, -2))
+
+
 def norm_max(m) -> float:
     return float(np.max(np.abs(m)))
 
@@ -230,8 +236,7 @@ _LETTERS = ("abcd", "efgh", "lmnp", "qrst")
 
 
 def matrix_entries(m) -> dict:
-    m = matrix_of(m)
-    return {x: complex(m[i, j]) for i, row in enumerate(_LETTERS) for j, x in enumerate(row)}
+    return dict(zip("".join(_LETTERS), matrix_of(m).ravel().tolist()))
 
 
 # J swaps e1 and e4: (J M* J)[k, j] = conj(M[S(j), S(k)]).  Both products P of M
@@ -287,7 +292,7 @@ def matrix_from_json(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.shape != (4, 4, 2):
         raise ValueError(f"matrix JSON must be 4x4 arrays of [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return as_matrix(arr[..., 0] + 1j * arr[..., 1])
 
 
 def vector_to_json(v) -> list:

@@ -74,8 +74,7 @@ def enumerate_words(
                 new_word = word + (letter,)
                 new_mat = mat @ mats[letter]
                 nxt.append((new_word, new_mat))
-        for word, mat in nxt:
-            yield GroupElement(mat, word)
+                yield GroupElement(new_mat, new_word)
         frontier = nxt
 
 

@@ -268,6 +268,23 @@ class TestErrorPaths:
         assert len(lines) == 1
         assert "error" in json.loads(lines[0])
 
+    @pytest.mark.parametrize("command", ["classify", "trace", "identities", "element"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_matrix_entry_is_input_error(self, tmp_path, capsys, command, literal):
+        # json.loads accepts these literals; the matrix must still be rejected as input
+        m = matrix_to_json(real_form_corpus(0)[0].entries)
+        m[1][2][0] = float(literal)
+        flag = "--generators" if command in ("classify", "trace") else "--matrix"
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([m] if flag == "--generators" else m))
+        assert literal in f.read_text()
+        code, out, err = run(capsys, command, flag, str(f))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "non-finite" in json.loads(lines[0])["error"]
+
     def test_element_normal_form_failure_is_reported(
         self, tmp_path, capsys, failing_normalization
     ):

@@ -28,7 +28,8 @@ from su31cert.elements import (
     complete_pivot_rank,
 )
 from su31cert.hermitian import (
-    J, matrix_of, norm_max, siegel_infinity, siegel_origin, su31_inverse, su31_residual,
+    J, herm_inner, matrix_of, norm_max, siegel_infinity, siegel_origin, su31_inverse,
+    su31_residual,
 )
 from su31cert.corpus import (
     CORPUS_KINDS,
@@ -357,6 +358,46 @@ class TestClassify:
                 from su31cert.hermitian import proportionality_residual
 
                 assert proportionality_residual(image, fp.lift) <= 1e-8
+
+
+def gram_schmidt_reference(vectors):
+    """The herm_inner Gram-Schmidt that _j_orthonormalize_positive's Cholesky form replaced."""
+    out = []
+    for v in vectors.T:
+        w = v.copy()
+        for u in out:
+            w = w - herm_inner(w, u) * u
+        out.append(w / np.sqrt(herm_inner(w, w).real))
+    return np.column_stack(out)
+
+
+class TestJOrthonormalizePositive:
+    def test_matches_gram_schmidt_on_middle_planes(self, monkeypatch):
+        # the planes normalize_loxodromic hands over on the loxodromic words up to
+        # L=4 of real_form and product_form corpus 0
+        planes = []
+        orthonormalize = elements._j_orthonormalize_positive
+
+        def record(basis):
+            planes.append(basis.copy())
+            return orthonormalize(basis)
+
+        monkeypatch.setattr(elements, "_j_orthonormalize_positive", record)
+        for kind in ("real_form", "product_form"):
+            for w in enumerate_words(make_corpus(kind, 0), 4):
+                if elements.is_loxodromic(w):
+                    normalize_loxodromic(w)
+        assert len(planes) > 100
+        for basis in planes:
+            ref = gram_schmidt_reference(basis)
+            got = orthonormalize(basis)
+            assert np.abs(got - ref).max() <= 1e-14 * max(1.0, norm_max(ref))
+            assert np.abs(got.conj().T @ J @ got - np.eye(2)).max() <= 1e-12
+
+    def test_j_indefinite_pair_is_ill_conditioned(self):
+        e1_e4 = np.eye(4, dtype=complex)[:, [0, 3]]
+        with pytest.raises(IllConditioned, match="J-positive"):
+            elements._j_orthonormalize_positive(e1_e4)
 
 
 class TestNormalizeLoxodromic:

@@ -21,6 +21,7 @@ from su31cert.hermitian import (
     as_matrix,
     as_vector,
     heisenberg_inverse,
+    j_gram,
     matrix_from_json,
     matrix_to_json,
     proportionality_residual,
@@ -29,7 +30,7 @@ from su31cert.hermitian import (
     vector_from_json,
     vector_to_json,
 )
-from su31cert import engine, hermitian, tracefield
+from su31cert import J, engine, hermitian, tracefield
 from su31cert.corpus import random_su31, real_form_corpus
 
 E1 = np.array([1, 0, 0, 0], dtype=complex)
@@ -66,6 +67,17 @@ class TestHermInner:
         assert herm_inner(alpha * z, w) == pytest.approx(
             alpha * herm_inner(z, w), abs=1e-10
         )
+
+
+class TestJGram:
+    def test_stack_matches_each_matrix_and_is_hermitian(self):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        gram = j_gram(v)
+        assert gram.shape == (3, 2, 2)
+        for g, w in zip(gram, v):
+            assert np.abs(g - w.conj().T @ J @ w).max() <= 1e-15
+        assert np.array_equal(gram, np.swapaxes(gram.conj(), -1, -2))
 
 
 class TestFiniteInputs:
